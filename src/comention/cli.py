@@ -8,10 +8,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +17,7 @@ from . import community as community_mod
 from . import report
 from .centrality import compute_bundle
 from .errors import ConvergenceError, DataError
-from .graph import connected_components, density
+from .graph import connected_components, density, diameter as graph_diameter
 from .ingest import ingest_stats
 from .powerlaw import DegreeDistribution, fit_loglog, fit_mle
 from .typology import assign_types, build_profiles, kmeans, load_affiliations, type_table
@@ -36,38 +34,43 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _threads(args) -> int:
-    return args.threads if getattr(args, "threads", None) else (os.cpu_count() or 1)
+_RUN_KEYS = ("input", "input_format", "aliases", "affiliations", "seed",
+             "min_community_size", "dmin", "kmeans_k", "top_k_persons",
+             "top_k_members", "threads", "out_dir", "resolution",
+             "include_other", "restarts", "eigen_tol", "eigen_max_iter",
+             "eigen_mixing")
 
 
-def _load_graph(args):
-    source = SimpleNamespace(input=args.input, input_format=args.input_format,
-                             aliases=args.aliases)
-    return report.load_input_graph(source)
+def _options(args) -> dict:
+    """The pipeline options given on the command line."""
+    return {key: getattr(args, key) for key in _RUN_KEYS
+            if getattr(args, key, None) is not None}
 
 
-def _eigen_kwargs(args) -> dict:
-    out = {}
-    if getattr(args, "eigen_tol", None) is not None:
-        out["eigen_tol"] = args.eigen_tol
-    if getattr(args, "eigen_max_iter", None) is not None:
-        out["eigen_max_iter"] = args.eigen_max_iter
-    if getattr(args, "eigen_mixing", None) is not None:
-        out["eigen_mixing"] = args.eigen_mixing
-    return out
+def _config(args) -> report.PipelineConfig:
+    """A subcommand's options, validated exactly as ``run`` validates them.
+
+    Subcommands without community detection take no seed and may write to
+    stdout; placeholders fill those required fields.
+    """
+    return report.PipelineConfig(**{"seed": 0, "out_dir": "", **_options(args)}).validate()
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
+def _bundle_kwargs(config: report.PipelineConfig) -> dict:
+    return {"eigen_tol": config.eigen_tol, "eigen_max_iter": config.eigen_max_iter,
+            "eigen_mixing": config.eigen_mixing, "threads": config.threads}
+
+
+def _out_dir(config: report.PipelineConfig) -> Path:
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_ingest(args) -> int:
-    source = SimpleNamespace(input=args.input, input_format="articles",
-                             aliases=args.aliases)
-    g, records = report.load_input_graph(source)
-    out = _out_dir(args)
+    config = _config(args)
+    g, records = report.load_input_graph(config)
+    out = _out_dir(config)
     report.write_edge_csv(g, out / report.F_EDGES)
     report.write_json(out / report.F_INGEST, ingest_stats(records, g))
     logger.info("wrote %s and %s", out / report.F_EDGES, out / report.F_INGEST)
@@ -75,47 +78,49 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    g, _ = _load_graph(args)
+    config = _config(args)
+    g, _ = report.load_input_graph(config)
     labeling = connected_components(g)
-    from .graph import diameter as graph_diameter
     stats = {
         "nodes": g.node_count,
         "edges": g.edge_count,
         "density": density(g.node_count, g.edge_count),
         "component_count": labeling.count,
         "largest_component": labeling.sizes[0],
-        "diameter": graph_diameter(g, components=labeling, threads=_threads(args)),
+        "diameter": graph_diameter(g, components=labeling, threads=config.threads),
     }
-    if args.out_dir:
-        report.write_json(_out_dir(args) / "stats.json", stats)
+    if config.out_dir:
+        report.write_json(_out_dir(config) / "stats.json", stats)
     else:
         print(json.dumps(stats, sort_keys=True, indent=2))
     return 0
 
 
 def cmd_centrality(args) -> int:
-    g, _ = _load_graph(args)
-    bundle = compute_bundle(g, threads=_threads(args), **_eigen_kwargs(args))
-    report.write_centrality_files(_out_dir(args), g, bundle, args.top_k_persons)
+    config = _config(args)
+    g, _ = report.load_input_graph(config)
+    bundle = compute_bundle(g, **_bundle_kwargs(config))
+    report.write_centrality_files(_out_dir(config), g, bundle, config.top_k_persons)
     return 0
 
 
-def _detect(args):
+def _detect(config: report.PipelineConfig):
     """Shared tail for the community-flavored subcommands."""
-    g, _ = _load_graph(args)
-    bundle = compute_bundle(g, threads=_threads(args), **_eigen_kwargs(args))
-    partition = community_mod.louvain(g, args.seed, args.resolution)
-    retained = community_mod.filter_communities(partition, args.min_community_size)
+    g, _ = report.load_input_graph(config)
+    bundle = compute_bundle(g, **_bundle_kwargs(config))
+    partition = community_mod.louvain(g, config.seed, config.resolution)
+    retained = community_mod.filter_communities(partition, config.min_community_size)
     return g, bundle, partition, retained
 
 
 def cmd_communities(args) -> int:
-    g, bundle, partition, retained = _detect(args)
+    config = _config(args)
+    g, bundle, partition, retained = _detect(config)
     summaries = community_mod.community_summary(g, partition, bundle, retained)
     members = community_mod.top_members(g, partition, bundle, retained,
-                                        k=args.top_k_members)
+                                        k=config.top_k_members)
     labels = {s.community: s.label for s in summaries}
-    out = _out_dir(args)
+    out = _out_dir(config)
     report.write_partition_files(out, g, partition)
     report.write_community_files(out, summaries, members, labels)
     q = community_mod.modularity(g, partition)
@@ -125,52 +130,48 @@ def cmd_communities(args) -> int:
 
 
 def cmd_induced(args) -> int:
-    g, bundle, partition, retained = _detect(args)
+    config = _config(args)
+    g, bundle, partition, retained = _detect(config)
     induced = community_mod.induced_graph(g, partition, retained, bundle,
-                                          include_other=args.include_other)
-    report.write_induced_files(_out_dir(args), induced)
+                                          include_other=config.include_other)
+    report.write_induced_files(_out_dir(config), induced)
     return 0
 
 
 def cmd_fit_powerlaw(args) -> int:
-    g, _ = _load_graph(args)
+    config = _config(args)
+    g, _ = report.load_input_graph(config)
     dist = DegreeDistribution.from_graph(g)
     if args.method == "mle":
-        fit = fit_mle(g.degrees, args.dmin)
+        fit = fit_mle(g.degrees, config.dmin)
     else:
-        fit = fit_loglog(dist, args.dmin)
+        fit = fit_loglog(dist, config.dmin)
     payload = {"alpha": fit.alpha, "dmin": fit.dmin, "n_tail": fit.n_tail,
                "method": fit.method, "intercept": fit.intercept,
                "r_squared": fit.r_squared}
-    if args.out_dir:
-        report.write_powerlaw_files(_out_dir(args), dist,
-                                    fit if fit.method == "loglog" else None)
-        report.write_json(Path(args.out_dir) / report.F_POWERLAW, payload)
+    if config.out_dir:
+        out = _out_dir(config)
+        report.write_powerlaw_files(out, dist, fit if fit.method == "loglog" else None)
+        report.write_json(out / report.F_POWERLAW, payload)
     else:
         print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
 
 def cmd_typology(args) -> int:
-    g, bundle, partition, retained = _detect(args)
+    config = _config(args)
+    g, bundle, partition, retained = _detect(config)
     members = community_mod.top_members(g, partition, bundle, retained,
-                                        k=args.top_k_members)
-    table = load_affiliations(args.affiliations)
+                                        k=config.top_k_members)
+    table = load_affiliations(config.affiliations)
     profiles = build_profiles(members, table)
-    result = kmeans(np.vstack([p.counts for p in profiles]), args.k, args.seed,
-                    restarts=args.restarts)
+    result = kmeans(np.vstack([p.counts for p in profiles]), config.kmeans_k, config.seed,
+                    restarts=config.restarts)
     assignment = assign_types(profiles, result)
     types = type_table(assignment, profiles)
     labels = community_mod.label_communities(g, partition, bundle)
-    report.write_typology_files(_out_dir(args), profiles, assignment, types, labels)
+    report.write_typology_files(_out_dir(config), profiles, assignment, types, labels)
     return 0
-
-
-_RUN_KEYS = ("input", "input_format", "aliases", "affiliations", "seed",
-             "min_community_size", "dmin", "kmeans_k", "top_k_persons",
-             "top_k_members", "threads", "out_dir", "resolution",
-             "include_other", "restarts", "eigen_tol", "eigen_max_iter",
-             "eigen_mixing")
 
 
 def cmd_run(args, parser: Parser) -> int:
@@ -184,15 +185,12 @@ def cmd_run(args, parser: Parser) -> int:
         if not isinstance(loaded, dict):
             raise DataError(f"{args.config}: config must be a JSON object")
         mapping.update(loaded)
-    for key in _RUN_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
+    mapping.update(_options(args))
     try:
         config = report.PipelineConfig.from_mapping(mapping)
     except DataError as exc:
-        parser.error(str(exc))  # malformed invocation, not malformed data
-    bundle = report.run_pipeline(config)
+        parser.error(str(exc))  # unknown or missing keys: a malformed invocation
+    bundle = report.run_pipeline(config)  # validates the values; bad ones exit 2
     print(json.dumps({"summary": bundle.summary,
                       "skipped": [list(item) for item in bundle.skipped],
                       "out_dir": config.out_dir}, sort_keys=True, indent=2))
@@ -229,8 +227,8 @@ def build_parser() -> Parser:
 
     perf = Parser(add_help=False)
     perf.add_argument("--threads", type=int,
-                      help="worker threads for BFS sweeps (results identical; "
-                           "default: available cores)")
+                      help="worker processes for BFS sweeps (any value gives "
+                           "byte-identical outputs; default: usable CPUs)")
 
     eigen = Parser(add_help=False)
     eigen.add_argument("--eigen-tol", type=float, help="eigenvector convergence tolerance")
@@ -241,10 +239,8 @@ def build_parser() -> Parser:
     detect = Parser(add_help=False)
     detect.add_argument("--seed", type=int, required=True,
                         help="seed for community detection (mandatory)")
-    detect.add_argument("--resolution", type=float, default=1.0,
-                        help="modularity resolution")
-    detect.add_argument("--min-community-size", type=int, default=100,
-                        dest="min_community_size",
+    detect.add_argument("--resolution", type=float, help="modularity resolution")
+    detect.add_argument("--min-community-size", type=int, dest="min_community_size",
                         help="drop communities smaller than this")
 
     p = sub.add_parser("ingest", parents=[sink],
@@ -260,12 +256,12 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("centrality", parents=[source, sink, perf, eigen],
                        help="per-node centralities and the top-10 leaderboards")
-    p.add_argument("--top-k-persons", type=int, default=10, dest="top_k_persons")
+    p.add_argument("--top-k-persons", type=int, dest="top_k_persons")
     p.set_defaults(func=cmd_centrality)
 
     p = sub.add_parser("communities", parents=[source, sink, perf, eigen, detect],
                        help="Louvain partition, community table, top members")
-    p.add_argument("--top-k-members", type=int, default=5, dest="top_k_members")
+    p.add_argument("--top-k-members", type=int, dest="top_k_members")
     p.set_defaults(func=cmd_communities)
 
     p = sub.add_parser("induced", parents=[source, sink, perf, eigen, detect],
@@ -276,7 +272,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("fit-powerlaw", parents=[source],
                        help="degree distribution and power-law tail fit")
-    p.add_argument("--dmin", type=int, default=3, help="smallest tail degree")
+    p.add_argument("--dmin", type=int, help="smallest tail degree")
     p.add_argument("--method", choices=("loglog", "mle"), default="loglog")
     p.add_argument("--out-dir", help="write CSV/JSON here instead of stdout")
     p.set_defaults(func=cmd_fit_powerlaw)
@@ -284,9 +280,9 @@ def build_parser() -> Parser:
     p = sub.add_parser("typology", parents=[source, sink, perf, eigen, detect],
                        help="affiliation profiles and k-means community types")
     p.add_argument("--affiliations", required=True, help="name,category CSV")
-    p.add_argument("--k", type=int, default=4, help="number of types")
-    p.add_argument("--top-k-members", type=int, default=5, dest="top_k_members")
-    p.add_argument("--restarts", type=int, default=1, help="k-means restarts")
+    p.add_argument("--k", type=int, dest="kmeans_k", help="number of types")
+    p.add_argument("--top-k-members", type=int, dest="top_k_members")
+    p.add_argument("--restarts", type=int, help="k-means restarts")
     p.set_defaults(func=cmd_typology)
 
     p = sub.add_parser("run", parents=[perf, eigen],

@@ -7,7 +7,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,6 +129,7 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
+        """Build a config from keys and values; values are checked by :meth:`validate`."""
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(mapping) - known
         if unknown:
@@ -137,7 +137,7 @@ class PipelineConfig:
         missing = {"input", "seed", "out_dir"} - set(mapping)
         if missing:
             raise DataError(f"config is missing required keys: {', '.join(sorted(missing))}")
-        return cls(**mapping).validate()
+        return cls(**mapping)
 
     def echo(self) -> dict:
         """Manifest echo of run parameters, minus paths and thread count.
@@ -520,13 +520,12 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     skipped: list[tuple[str, str]] = []
-    threads = config.threads if config.threads is not None else os.cpu_count()
 
     g, records = load_input_graph(config)
     labeling = connected_components(g)
     bundle = centrality_mod.compute_bundle(
         g, eigen_tol=config.eigen_tol, eigen_max_iter=config.eigen_max_iter,
-        eigen_mixing=config.eigen_mixing, threads=threads, components=labeling)
+        eigen_mixing=config.eigen_mixing, threads=config.threads, components=labeling)
     diam = int(bundle.eccentricity[labeling.members(0)].max()) if labeling.sizes[0] > 1 else 0
 
     partition = community_mod.louvain(g, config.seed, config.resolution)
@@ -624,24 +623,66 @@ def _close(a, b, tol=1e-9) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+# Errors that mean a check's inputs are missing, malformed or inconsistent.
+_UNCOMPUTABLE = (OSError, DataError, KeyError, ValueError, TypeError)
+
+
 def audit(out_dir) -> list[AuditCheck]:
     """Re-derive the summary from the emitted files and compare.
 
     Digests are verified for every manifest entry; graph-level numbers are
     recomputed from edges.csv; partition and community tables are cross
     checked against centrality.csv; the power-law fit is refit from
-    degree_dist.csv.
+    degree_dist.csv.  Each group of checks runs on its own: one that cannot
+    be computed from the files, say because a row was renamed or deleted,
+    becomes a failed check whose detail names the cause.
     """
     out = Path(out_dir)
-    checks: list[AuditCheck] = []
     manifest_path = out / F_MANIFEST
     if not manifest_path.exists():
         return [AuditCheck("manifest", False, f"{manifest_path} not found")]
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    checks: list[AuditCheck] = []
 
+    def attempt(name, compute):
+        try:
+            return compute()
+        except _UNCOMPUTABLE as exc:
+            checks.append(AuditCheck(name, False,
+                                     f"cannot be computed: {type(exc).__name__}: {exc}"))
+            return None
+
+    manifest = attempt("manifest", lambda: _read_json(manifest_path))
+    if manifest is None:
+        return checks
+    attempt("digests", lambda: _audit_digests(out, manifest, checks))
+    summary = attempt("summary", lambda: _read_json(out / F_SUMMARY))
+    g = attempt("edges", lambda: read_edge_csv(out / F_EDGES))
+    if summary is None or g is None:
+        return checks
+    config = manifest.get("config", {})
+
+    attempt("graph", lambda: _audit_graph(g, summary, checks))
+    partition = attempt("partition",
+                        lambda: _audit_partition(out, g, summary, config, checks))
+    by_name = attempt("centrality", lambda: _audit_centrality(out, g, summary, checks))
+    attempt("degree_dist", lambda: _audit_degree_dist(out, g, summary, config, checks))
+    if partition is not None and by_name is not None and (out / F_COMMUNITIES).exists():
+        attempt("community_means", lambda: checks.append(
+            _audit_community_means(out, g, partition, by_name)))
+    if (out / F_INDUCED_JSON).exists():
+        attempt("induced_conservation", lambda: _audit_induced(out, g, checks))
+    return checks
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _audit_digests(out: Path, manifest: dict, checks: list[AuditCheck]) -> None:
+    files = manifest.get("files", {})
     broken = 0
-    for name, expected in manifest.get("files", {}).items():
+    for name, expected in files.items():
         path = out / name
         if not path.exists():
             checks.append(AuditCheck(f"file:{name}", False, "missing"))
@@ -650,14 +691,10 @@ def audit(out_dir) -> list[AuditCheck]:
             checks.append(AuditCheck(f"file:{name}", False, "digest mismatch"))
             broken += 1
     if not broken:
-        checks.append(AuditCheck("digests", True,
-                                 f"{len(manifest.get('files', {}))} files match"))
+        checks.append(AuditCheck("digests", True, f"{len(files)} files match"))
 
-    with open(out / F_SUMMARY, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    config = manifest.get("config", {})
 
-    g = read_edge_csv(out / F_EDGES)
+def _audit_graph(g: Graph, summary: dict, checks: list[AuditCheck]) -> None:
     checks.append(AuditCheck("nodes", g.node_count == summary["nodes"],
                              f"{g.node_count} vs {summary['nodes']}"))
     checks.append(AuditCheck("edges", g.edge_count == summary["edges"],
@@ -672,33 +709,44 @@ def audit(out_dir) -> list[AuditCheck]:
     checks.append(AuditCheck("diameter", diam == summary["diameter"],
                              f"{diam} vs {summary['diameter']}"))
 
+
+def _audit_partition(out: Path, g: Graph, summary: dict, config: dict,
+                     checks: list[AuditCheck]) -> Partition | None:
+    """Check partition.csv; returns the partition when it covers the graph."""
     with open(out / F_PARTITION, "r", encoding="utf-8", newline="") as fh:
         community_of = {row["name"]: int(row["community"]) for row in csv.DictReader(fh)}
     missing = [name for name in g.names if name not in community_of]
     checks.append(AuditCheck("partition_covers_graph", not missing,
                              f"{len(missing)} graph nodes missing from partition"))
-    partition = None
-    if not missing:
-        labels = np.array([community_of[name] for name in g.names], dtype=np.int64)
-        partition = Partition.from_labels(labels)
-        q = community_mod.modularity(g, partition)
-        checks.append(AuditCheck("modularity", _close(q, summary["modularity"]),
-                                 f"{q:.12g} vs {summary['modularity']:.12g}"))
-        checks.append(AuditCheck(
-            "community_count", partition.count == summary["community_count"],
-            f"{partition.count} vs {summary['community_count']}"))
-        min_size = int(config.get("min_community_size", 1))
-        kept = sum(1 for s in partition.sizes if s >= min_size)
-        checks.append(AuditCheck("retained_count", kept == summary["retained_count"],
-                                 f"{kept} vs {summary['retained_count']}"))
+    if missing:
+        return None
+    labels = np.array([community_of[name] for name in g.names], dtype=np.int64)
+    partition = Partition.from_labels(labels)
+    q = community_mod.modularity(g, partition)
+    checks.append(AuditCheck("modularity", _close(q, summary["modularity"]),
+                             f"{q:.12g} vs {summary['modularity']:.12g}"))
+    checks.append(AuditCheck(
+        "community_count", partition.count == summary["community_count"],
+        f"{partition.count} vs {summary['community_count']}"))
+    min_size = int(config.get("min_community_size", 1))
+    kept = sum(1 for s in partition.sizes if s >= min_size)
+    checks.append(AuditCheck("retained_count", kept == summary["retained_count"],
+                             f"{kept} vs {summary['retained_count']}"))
+    return partition
 
+
+def _audit_centrality(out: Path, g: Graph, summary: dict,
+                      checks: list[AuditCheck]) -> dict:
+    """Check centrality.csv; returns its rows keyed by name."""
     with open(out / F_CENTRALITY, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     by_name = {row["name"]: row for row in rows}
-    degree_ok = (len(by_name) == g.node_count and
+    missing = sum(1 for name in g.names if name not in by_name)
+    degree_ok = (not missing and len(by_name) == g.node_count and
                  all(int(by_name[name]["degree"]) == g.degree_of(v)
-                     for v, name in enumerate(g.names) if name in by_name))
-    checks.append(AuditCheck("degree_column", degree_ok, f"{len(by_name)} rows"))
+                     for v, name in enumerate(g.names)))
+    checks.append(AuditCheck("degree_column", degree_ok,
+                             f"{len(by_name)} rows, {missing} graph nodes missing"))
     if summary.get("degree_closeness_r") is not None:
         r = centrality_mod.pearson_correlation(
             [float(row["degree"]) for row in rows],
@@ -706,7 +754,11 @@ def audit(out_dir) -> list[AuditCheck]:
         checks.append(AuditCheck("degree_closeness_r",
                                  _close(r, summary["degree_closeness_r"], 1e-6),
                                  f"{r:.6g} vs {summary['degree_closeness_r']:.6g}"))
+    return by_name
 
+
+def _audit_degree_dist(out: Path, g: Graph, summary: dict, config: dict,
+                       checks: list[AuditCheck]) -> None:
     hist: dict[int, int] = {}
     with open(out / F_DEGREE_DIST, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -719,19 +771,14 @@ def audit(out_dir) -> list[AuditCheck]:
         checks.append(AuditCheck("alpha", _close(refit.alpha, summary["alpha"], 1e-9),
                                  f"{refit.alpha:.12g} vs {summary['alpha']:.12g}"))
 
-    if partition is not None and (out / F_COMMUNITIES).exists():
-        checks.append(_audit_community_means(out, g, partition, by_name))
 
-    induced_path = out / F_INDUCED_JSON
-    if induced_path.exists():
-        with open(induced_path, "r", encoding="utf-8") as fh:
-            induced = json.load(fh)
-        total = (sum(e["weight"] for e in induced["edges"])
-                 + sum(c["intra_weight"] for c in induced["communities"])
-                 + induced["dropped_edges"])
-        checks.append(AuditCheck("induced_conservation", total == g.edge_count,
-                                 f"{total} vs m={g.edge_count}"))
-    return checks
+def _audit_induced(out: Path, g: Graph, checks: list[AuditCheck]) -> None:
+    induced = _read_json(out / F_INDUCED_JSON)
+    total = (sum(e["weight"] for e in induced["edges"])
+             + sum(c["intra_weight"] for c in induced["communities"])
+             + induced["dropped_edges"])
+    checks.append(AuditCheck("induced_conservation", total == g.edge_count,
+                             f"{total} vs m={g.edge_count}"))
 
 
 def _audit_community_means(out: Path, g: Graph, partition: Partition,

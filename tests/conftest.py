@@ -105,22 +105,51 @@ def _all_shortest_paths(adj, dist, s, t):
                 yield (s,) + rest
 
 
+def _dependencies(adj, dist, s):
+    raw = np.zeros(len(adj))
+    for t in range(len(adj)):
+        if s == t or dist[s][t] >= INF:
+            continue
+        paths = list(_all_shortest_paths(adj, dist, s, t))
+        for path in paths:
+            for v in path[1:-1]:
+                raw[v] += 1.0 / len(paths)
+    return raw
+
+
+def dependency_oracle(n, pairs, s):
+    """Pair dependencies of source ``s``: for each node, the summed share of
+    shortest s-t paths it lies inside, by exhaustive path enumeration."""
+    return _dependencies(adjacency_sets(n, pairs), floyd_warshall(n, pairs), s)
+
+
 def betweenness_oracle(n, pairs):
     """Exhaustive enumeration of every shortest path, interior nodes tallied."""
-    adj = adjacency_sets(n, pairs)
-    dist = floyd_warshall(n, pairs)
-    raw = np.zeros(n)
-    for s in range(n):
-        for t in range(n):
-            if s == t or dist[s][t] >= INF:
-                continue
-            paths = list(_all_shortest_paths(adj, dist, s, t))
-            for path in paths:
-                for v in path[1:-1]:
-                    raw[v] += 1.0 / len(paths)
     if n < 3:
         return np.zeros(n)
+    adj = adjacency_sets(n, pairs)
+    dist = floyd_warshall(n, pairs)
+    raw = sum(_dependencies(adj, dist, s) for s in range(n))
     return raw / ((n - 1.0) * (n - 2.0))
+
+
+def nmi_oracle(a, b):
+    """Normalized mutual information of two labelings, normalised by the
+    arithmetic mean of their entropies (scikit-learn's default)."""
+    _, ia = np.unique(np.asarray(a), return_inverse=True)
+    _, ib = np.unique(np.asarray(b), return_inverse=True)
+    if ia.max() == 0 and ib.max() == 0:
+        return 1.0  # both labelings put everything in one cluster
+    joint = np.zeros((ia.max() + 1, ib.max() + 1))
+    np.add.at(joint, (ia, ib), 1.0)
+    joint /= joint.sum()
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    nz = joint > 0
+    mi = float((joint[nz] * np.log(joint[nz] / np.outer(pa, pb)[nz])).sum())
+    ha = -float((pa * np.log(pa)).sum())
+    hb = -float((pb * np.log(pb)).sum())
+    return mi / max((ha + hb) / 2.0, np.finfo(np.float64).eps)
 
 
 def eigenvector_oracle(n, pairs):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from conftest import (
     betweenness_oracle,
     clustering_oracle,
     closeness_oracle,
+    dependency_oracle,
+    diameter_oracle,
     eigenvector_oracle,
     floyd_warshall,
     graph_from,
@@ -28,10 +31,13 @@ from comention import (
     connected_components,
     degree_centrality,
     eigenvector_centrality,
+    diameter,
     pearson_correlation,
     top_k,
     top_table,
 )
+from comention import _sweep
+from comention.graph import Graph
 
 
 def star(k=5):
@@ -367,3 +373,110 @@ class TestBundleAndInvariance:
                 a = v1[g1.name_to_id[name]]
                 b = v2[g2.name_to_id[mapping[name]]]
                 assert a == pytest.approx(b, abs=tol)
+
+
+def clique_expanded(rng, persons, articles, max_size):
+    """Co-mention pairs of random articles; a person named in one article
+    only is a closed twin of its co-mentioned peers."""
+    pairs = set()
+    for _ in range(articles):
+        size = int(rng.integers(2, max_size + 1))
+        named = sorted(rng.choice(persons, size=size, replace=False).tolist())
+        pairs.update(itertools.combinations([f"p{i:04d}" for i in named], 2))
+    return sorted(pairs)
+
+
+def with_isolated_node(g):
+    """``g`` plus one node without edges, which build_graph cannot produce."""
+    return Graph(names=g.names + ("isolated",),
+                 indptr=np.append(g.indptr, g.indptr[-1]),
+                 adjacency=g.adjacency)
+
+
+def twin_class_count(g):
+    reps = _sweep.closed_twin_representatives(g.indptr, g.adjacency, g.node_count)
+    return np.unique(reps).size
+
+
+class TestTwinCollapsing:
+    def test_representatives_share_closed_neighbourhoods(self):
+        rng = np.random.default_rng(211)
+        g = build_graph(clique_expanded(rng, 30, 12, 6))
+        reps = _sweep.closed_twin_representatives(g.indptr, g.adjacency, g.node_count)
+        closed = [set(g.neighbors(v).tolist()) | {v} for v in range(g.node_count)]
+        for u in range(g.node_count):
+            for v in range(g.node_count):
+                assert (reps[u] == reps[v]) == (closed[u] == closed[v])
+            assert reps[u] == min(v for v in range(g.node_count) if closed[v] == closed[u])
+
+    def test_matches_oracles_on_clique_expanded_graphs(self):
+        rng = np.random.default_rng(223)
+        # a second component that is one twin class: every node sees N[v] = K4
+        clique = list(itertools.combinations(["z0", "z1", "z2", "z3"], 2))
+        collapsed = 0
+        for _ in range(15):
+            g = with_isolated_node(build_graph(clique_expanded(rng, 12, 5, 5) + clique))
+            n = g.node_count
+            pairs = id_pairs(g)
+            collapsed += n - 3 - twin_class_count(g)
+            assert np.allclose(betweenness_centrality(g), betweenness_oracle(n, pairs),
+                               atol=1e-9, rtol=0)
+            assert (closeness_centrality(g) == closeness_oracle(n, pairs)).all()
+            assert diameter(g) == diameter_oracle(n, pairs)
+            bundle = compute_bundle(g)
+            assert bundle.eccentricity[n - 1] == 0
+            assert all(bundle.closeness[g.name_to_id[z]] == 1.0 for z in ("z0", "z3"))
+        assert collapsed >= 15  # twins outside the K4 as well
+
+    def test_duplicate_and_subset_sources(self):
+        rng = np.random.default_rng(227)
+        g = with_isolated_node(build_graph(clique_expanded(rng, 12, 5, 5)))
+        n = g.node_count
+        pairs = id_pairs(g)
+        reps = _sweep.closed_twin_representatives(g.indptr, g.adjacency, n)
+        twins = [v for v in range(n) if reps[v] != v]
+        assert twins
+        sources = [twins[0], n - 1, reps[twins[0]], twins[0], 3, 3, twins[-1]]
+        result = _sweep.sweep(g.indptr, g.adjacency, n, np.array(sources),
+                              betweenness=True, threads=1)
+        dist = floyd_warshall(n, pairs)
+        for i, s in enumerate(sources):
+            finite = [d for d in dist[s] if d < INF]
+            assert result.eccentricity[i] == max(finite)
+            assert result.distance_sum[i] == sum(finite)
+            assert result.reachable[i] == len(finite)
+        want = sum(dependency_oracle(n, pairs, s) for s in sources)
+        assert np.allclose(result.betweenness_raw, want, atol=1e-9, rtol=0)
+
+    def test_bundle_bits_independent_of_worker_count(self):
+        rng = np.random.default_rng(229)
+        g = build_graph(clique_expanded(rng, 1200, 420, 6))
+        # three chunks or more, so that the order of the reduction matters
+        assert 2 * _sweep.CHUNK < twin_class_count(g) < g.node_count
+        one = compute_bundle(g, threads=1)
+        for threads in (2, 4):
+            other = compute_bundle(g, threads=threads)
+            for measure in ("closeness", "betweenness", "eccentricity"):
+                assert (getattr(one, measure) == getattr(other, measure)).all()
+
+    def test_serial_without_fork(self, monkeypatch):
+        import multiprocessing
+
+        rng = np.random.default_rng(233)
+        g = build_graph(clique_expanded(rng, 700, 200, 5))
+        assert twin_class_count(g) > _sweep.CHUNK
+        want = betweenness_centrality(g, threads=2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", no_pool)
+        assert (betweenness_centrality(g, threads=2) == want).all()
+
+    def test_pool_size_is_capped(self):
+        cpus = _sweep.usable_cpus()
+        assert _sweep.pool_size(10 ** 9, 10 ** 9) == cpus
+        assert _sweep.pool_size(None, 3) == min(3, cpus)
+        assert _sweep.pool_size(4, 1) == 1
+        assert _sweep.pool_size(1, 50) == 1

@@ -296,6 +296,63 @@ class TestAuditCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("filename", ["centrality.csv", "partition.csv"])
+    @pytest.mark.parametrize("tamper", ["rename", "delete", "corrupt"])
+    def test_tampered_row_fails_checks(self, tmp_path, articles, capsys,
+                                       filename, tamper):
+        out = tmp_path / "out"
+        run_cli(
+            "run", "--input", articles, "--out-dir", out, "--seed", "5",
+            "--min-community-size", "2",
+        )
+        path = out / filename
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        name, rest = lines[1].split(",", 1)
+        if tamper == "rename":
+            lines[1] = f"Nobody,{rest}"
+        elif tamper == "delete":
+            del lines[1]
+        else:
+            lines[1] = f"{name},x,{rest.split(',', 1)[-1]}"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        rc = run_cli("audit", "--out-dir", out)
+        assert rc == 2
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        # beyond the digest mismatch, a content check must fail
+        assert any("file:" not in line for line in failed), failed
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize("command",
+                             ["stats", "centrality", "communities", "induced",
+                              "typology", "run"])
+    @pytest.mark.parametrize("threads", ["-3", "0"])
+    def test_non_positive_threads_is_data_error(self, tmp_path, articles, command,
+                                                threads):
+        out = tmp_path / "out"
+        argv = [command, "--input", articles, "--threads", threads]
+        if command != "stats":
+            argv += ["--out-dir", out]
+        if command in ("communities", "induced", "typology", "run"):
+            argv += ["--seed", "5", "--min-community-size", "2"]
+        if command == "typology":
+            aff = tmp_path / "affiliations.csv"
+            aff.write_text(AFFILIATIONS, encoding="utf-8")
+            argv += ["--affiliations", aff, "--k", "2"]
+        assert run_cli(*argv) == 2
+        assert not out.exists()
+
+    def test_non_positive_resolution_is_data_error(self, tmp_path, articles, capsys):
+        rc = run_cli(
+            "communities", "--input", articles, "--out-dir", tmp_path / "out",
+            "--seed", "5", "--resolution", "-1",
+        )
+        assert rc == 2
+        assert "resolution" in capsys.readouterr().err
+
+
 class TestErrorChannels:
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -5,6 +5,7 @@ from conftest import (
     graph_from,
     id_pairs,
     modularity_oracle,
+    nmi_oracle,
     random_pairs,
     set_partitions,
 )
@@ -83,16 +84,24 @@ class TestLouvain:
         assert -0.5 <= q <= 1.0
 
     def test_planted_partition_recovery(self):
-        sklearn = pytest.importorskip("sklearn.metrics")
         hits = 0
         for seed in range(10):
             pairs, truth = planted_partition(seed=seed)
             g = build_graph(pairs)
             p = louvain(g, seed=seed)
             want = [truth[name] for name in g.names]
-            nmi = sklearn.normalized_mutual_info_score(want, p.labels)
+            nmi = nmi_oracle(want, p.labels)
             hits += nmi >= 0.95
         assert hits >= 9
+
+    def test_nmi_oracle_hand_computed_value(self):
+        # joint (1/2, 1/4, 1/4): MI = ln(4/3)/2 + ln(2/3)/4 + ln(2)/4,
+        # entropies ln 2 and ln 4 - (3/4) ln 3
+        mi = np.log(4 / 3) / 2 + np.log(2 / 3) / 4 + np.log(2) / 4
+        mean_h = (np.log(2) + np.log(4) - 0.75 * np.log(3)) / 2
+        assert nmi_oracle([0, 0, 1, 1], [0, 0, 0, 1]) == pytest.approx(mi / mean_h, rel=1e-12)
+        assert nmi_oracle([0, 0, 1, 1], [7, 7, 3, 3]) == pytest.approx(1.0, rel=1e-12)
+        assert nmi_oracle([0, 1, 0, 1], [0, 0, 1, 1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(131)
