@@ -25,9 +25,9 @@ from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog, fit_mle
 from .typology import (CATEGORIES, CommunityProfile, KMeansResult,
                        TypeAssignment, TypeTable, assign_types, build_profiles,
                        kmeans, load_affiliations, type_table)
-from .report import (AuditCheck, PipelineConfig, ReportBundle, audit,
-                     emit_plot_data, export_dot, export_graphml, read_graphml,
-                     run_pipeline)
+from .report import (AuditCheck, PipelineConfig, PipelineRun, ReportBundle,
+                     audit, emit_plot_data, export_dot, export_graphml,
+                     read_graphml, run_pipeline)
 
 __version__ = "0.1.0"
 

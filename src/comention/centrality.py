@@ -14,6 +14,7 @@ from .graph import ComponentLabeling, Graph, connected_components
 logger = logging.getLogger(__name__)
 
 MEASURES = ("degree", "closeness", "betweenness", "eigenvector")
+FLOAT_FORMAT = ".12g"  # floats in every written table; rankings compare at this precision
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,32 +44,35 @@ def degree_centrality(g: Graph) -> np.ndarray:
     return g.degrees.astype(np.int64)
 
 
-def closeness_centrality(g: Graph, *, threads: int | None = None) -> np.ndarray:
-    """Per-component closeness: (reachable - 1) / sum of distances.
+def _sweep_scores(g: Graph, *, betweenness: bool, threads: int | None):
+    """One all-sources sweep, normalised: (closeness, betweenness or None, result).
 
-    A node alone in its component scores 0.  Disconnected graphs only get a
-    warning since every component is handled on its own.
+    Closeness is per component, (reachable - 1) / sum of distances, and 0 for
+    a node alone in its component.  Betweenness counts every ordered
+    source/target pair with endpoints excluded, so it is scaled by
+    (n - 1)(n - 2); graphs with fewer than 3 nodes score all zero.
     """
-    result = sweep(g.indptr, g.adjacency, g.node_count,
-                   np.arange(g.node_count, dtype=np.int64), threads=threads)
-    closeness = np.zeros(g.node_count, dtype=np.float64)
+    n = g.node_count
+    result = sweep(g.indptr, g.adjacency, n, np.arange(n, dtype=np.int64),
+                   betweenness=betweenness, threads=threads)
+    closeness = np.zeros(n, dtype=np.float64)
     connected = result.reachable > 1
     closeness[connected] = (result.reachable[connected] - 1.0) / result.distance_sum[connected]
-    return closeness
+    between = None
+    if betweenness:
+        between = (np.zeros(n, dtype=np.float64) if n < 3
+                   else result.betweenness_raw / ((n - 1.0) * (n - 2.0)))
+    return closeness, between, result
+
+
+def closeness_centrality(g: Graph, *, threads: int | None = None) -> np.ndarray:
+    """Per-component closeness; every component is handled on its own."""
+    return _sweep_scores(g, betweenness=False, threads=threads)[0]
 
 
 def betweenness_centrality(g: Graph, *, threads: int | None = None) -> np.ndarray:
-    """Shortest-path betweenness, endpoints excluded, scaled into [0, 1].
-
-    Raw dependency sums count every ordered source/target pair, so the scale
-    factor is (n - 1)(n - 2).  Graphs with fewer than 3 nodes score all zero.
-    """
-    n = g.node_count
-    if n < 3:
-        return np.zeros(n, dtype=np.float64)
-    result = sweep(g.indptr, g.adjacency, n, np.arange(n, dtype=np.int64),
-                   betweenness=True, threads=threads)
-    return result.betweenness_raw / ((n - 1.0) * (n - 2.0))
+    """Shortest-path betweenness, endpoints excluded, scaled into [0, 1]."""
+    return _sweep_scores(g, betweenness=True, threads=threads)[1]
 
 
 def eigenvector_centrality(g: Graph, *, tol: float = 1e-10, max_iter: int = 10000,
@@ -137,17 +141,8 @@ def compute_bundle(g: Graph, *, eigen_tol: float = 1e-10, eigen_max_iter: int = 
                    eigen_mixing: float = 1.0, threads: int | None = None,
                    components: ComponentLabeling | None = None) -> CentralityBundle:
     """Compute every score with one shared BFS sweep."""
-    n = g.node_count
     labeling = components if components is not None else connected_components(g)
-    result = sweep(g.indptr, g.adjacency, n, np.arange(n, dtype=np.int64),
-                   betweenness=True, threads=threads)
-    closeness = np.zeros(n, dtype=np.float64)
-    connected = result.reachable > 1
-    closeness[connected] = (result.reachable[connected] - 1.0) / result.distance_sum[connected]
-    if n < 3:
-        betweenness = np.zeros(n, dtype=np.float64)
-    else:
-        betweenness = result.betweenness_raw / ((n - 1.0) * (n - 2.0))
+    closeness, betweenness, result = _sweep_scores(g, betweenness=True, threads=threads)
     eigenvector = eigenvector_centrality(g, tol=eigen_tol, max_iter=eigen_max_iter,
                                          mixing=eigen_mixing, components=labeling)
     return CentralityBundle(
@@ -177,15 +172,24 @@ def pearson_correlation(x, y) -> float:
     return float((dx * dy).sum() / (sx * sy))
 
 
+def rank(g: Graph, scores, nodes=None) -> list[int]:
+    """Node ids by score descending, ties broken by name ascending.
+
+    Scores are compared as written to tables (:data:`FLOAT_FORMAT`), so
+    round-off beyond the written digits never decides the order.
+    """
+    nodes = range(g.node_count) if nodes is None else nodes
+    return sorted(nodes, key=lambda v: (-float(format(float(scores[v]), FLOAT_FORMAT)),
+                                        g.names[v]))
+
+
 def top_k(g: Graph, bundle: CentralityBundle, measure: str, k: int = 10) -> list[str]:
     """Names ranked by a measure, descending, ties broken by name ascending."""
     if measure not in MEASURES:
         raise DataError(f"measure must be one of {MEASURES}, got {measure!r}")
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
-    scores = bundle.by_name(measure)
-    ranked = sorted(range(g.node_count), key=lambda v: (-scores[v], g.names[v]))
-    return [g.names[v] for v in ranked[:k]]
+    return [g.names[v] for v in rank(g, bundle.by_name(measure))[:k]]
 
 
 @dataclass(frozen=True)

@@ -6,21 +6,15 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
 
-import numpy as np
-
-from . import community as community_mod
 from . import report
-from .centrality import compute_bundle
 from .errors import ConvergenceError, DataError
-from .graph import connected_components, density, diameter as graph_diameter
-from .ingest import ingest_stats
-from .powerlaw import DegreeDistribution, fit_loglog, fit_mle
-from .typology import assign_types, build_profiles, kmeans, load_affiliations, type_table
+from .graph import density, diameter as graph_diameter
+from .powerlaw import fit_mle
 
 logger = logging.getLogger(__name__)
 
@@ -34,143 +28,85 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_RUN_KEYS = ("input", "input_format", "aliases", "affiliations", "seed",
-             "min_community_size", "dmin", "kmeans_k", "top_k_persons",
-             "top_k_members", "threads", "out_dir", "resolution",
-             "include_other", "restarts", "eigen_tol", "eigen_max_iter",
-             "eigen_mixing")
-
-
 def _options(args) -> dict:
     """The pipeline options given on the command line."""
-    return {key: getattr(args, key) for key in _RUN_KEYS
-            if getattr(args, key, None) is not None}
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(report.PipelineConfig)
+            if getattr(args, f.name, None) is not None}
 
 
-def _config(args) -> report.PipelineConfig:
-    """A subcommand's options, validated exactly as ``run`` validates them.
+def _run(args) -> report.PipelineRun:
+    """The pipeline over a subcommand's options, validated exactly as ``run`` does.
 
     Subcommands without community detection take no seed and may write to
     stdout; placeholders fill those required fields.
     """
-    return report.PipelineConfig(**{"seed": 0, "out_dir": "", **_options(args)}).validate()
+    return report.PipelineRun(
+        report.PipelineConfig(**{"seed": 0, "out_dir": "", **_options(args)}))
 
 
-def _bundle_kwargs(config: report.PipelineConfig) -> dict:
-    return {"eigen_tol": config.eigen_tol, "eigen_max_iter": config.eigen_max_iter,
-            "eigen_mixing": config.eigen_mixing, "threads": config.threads}
-
-
-def _out_dir(config: report.PipelineConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _print_json(payload) -> None:
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def cmd_ingest(args) -> int:
-    config = _config(args)
-    g, records = report.load_input_graph(config)
-    out = _out_dir(config)
-    report.write_edge_csv(g, out / report.F_EDGES)
-    report.write_json(out / report.F_INGEST, ingest_stats(records, g))
-    logger.info("wrote %s and %s", out / report.F_EDGES, out / report.F_INGEST)
+    run = _run(args)
+    written = report.write_ingest_files(run)
+    logger.info("wrote %s", ", ".join(str(run.out / name) for name in written))
     return 0
 
 
 def cmd_stats(args) -> int:
-    config = _config(args)
-    g, _ = report.load_input_graph(config)
-    labeling = connected_components(g)
+    run = _run(args)
+    g, labeling = run.graph, run.components
     stats = {
         "nodes": g.node_count,
         "edges": g.edge_count,
         "density": density(g.node_count, g.edge_count),
         "component_count": labeling.count,
         "largest_component": labeling.sizes[0],
-        "diameter": graph_diameter(g, components=labeling, threads=config.threads),
+        "diameter": graph_diameter(g, components=labeling, threads=run.config.threads),
     }
-    if config.out_dir:
-        report.write_json(_out_dir(config) / "stats.json", stats)
+    if run.config.out_dir:
+        report.write_json(run.out / "stats.json", stats)
     else:
-        print(json.dumps(stats, sort_keys=True, indent=2))
+        _print_json(stats)
     return 0
 
 
 def cmd_centrality(args) -> int:
-    config = _config(args)
-    g, _ = report.load_input_graph(config)
-    bundle = compute_bundle(g, **_bundle_kwargs(config))
-    report.write_centrality_files(_out_dir(config), g, bundle, config.top_k_persons)
+    report.write_centrality_files(_run(args))
     return 0
 
 
-def _detect(config: report.PipelineConfig):
-    """Shared tail for the community-flavored subcommands."""
-    g, _ = report.load_input_graph(config)
-    bundle = compute_bundle(g, **_bundle_kwargs(config))
-    partition = community_mod.louvain(g, config.seed, config.resolution)
-    retained = community_mod.filter_communities(partition, config.min_community_size)
-    return g, bundle, partition, retained
-
-
 def cmd_communities(args) -> int:
-    config = _config(args)
-    g, bundle, partition, retained = _detect(config)
-    summaries = community_mod.community_summary(g, partition, bundle, retained)
-    members = community_mod.top_members(g, partition, bundle, retained,
-                                        k=config.top_k_members)
-    labels = {s.community: s.label for s in summaries}
-    out = _out_dir(config)
-    report.write_partition_files(out, g, partition)
-    report.write_community_files(out, summaries, members, labels)
-    q = community_mod.modularity(g, partition)
-    print(json.dumps({"community_count": partition.count, "retained_count": len(retained),
-                      "modularity": q}, sort_keys=True, indent=2))
+    run = _run(args)
+    payload = {"community_count": run.partition.count, "retained_count": len(run.retained),
+               "modularity": run.modularity}
+    report.write_partition_files(run)
+    report.write_community_files(run)
+    _print_json(payload)
     return 0
 
 
 def cmd_induced(args) -> int:
-    config = _config(args)
-    g, bundle, partition, retained = _detect(config)
-    induced = community_mod.induced_graph(g, partition, retained, bundle,
-                                          include_other=config.include_other)
-    report.write_induced_files(_out_dir(config), induced)
+    report.write_induced_files(_run(args))
     return 0
 
 
 def cmd_fit_powerlaw(args) -> int:
-    config = _config(args)
-    g, _ = report.load_input_graph(config)
-    dist = DegreeDistribution.from_graph(g)
-    if args.method == "mle":
-        fit = fit_mle(g.degrees, config.dmin)
+    run = _run(args)
+    if args.method == "mle":  # takes the place of the pipeline's log-log fit
+        run.powerlaw = fit_mle(run.graph.degrees, run.config.dmin)
+    fit = run.require("powerlaw")
+    if run.config.out_dir:
+        report.write_powerlaw_files(run)
     else:
-        fit = fit_loglog(dist, config.dmin)
-    payload = {"alpha": fit.alpha, "dmin": fit.dmin, "n_tail": fit.n_tail,
-               "method": fit.method, "intercept": fit.intercept,
-               "r_squared": fit.r_squared}
-    if config.out_dir:
-        out = _out_dir(config)
-        report.write_powerlaw_files(out, dist, fit if fit.method == "loglog" else None)
-        report.write_json(out / report.F_POWERLAW, payload)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _print_json(dataclasses.asdict(fit))
     return 0
 
 
 def cmd_typology(args) -> int:
-    config = _config(args)
-    g, bundle, partition, retained = _detect(config)
-    members = community_mod.top_members(g, partition, bundle, retained,
-                                        k=config.top_k_members)
-    table = load_affiliations(config.affiliations)
-    profiles = build_profiles(members, table)
-    result = kmeans(np.vstack([p.counts for p in profiles]), config.kmeans_k, config.seed,
-                    restarts=config.restarts)
-    assignment = assign_types(profiles, result)
-    types = type_table(assignment, profiles)
-    labels = community_mod.label_communities(g, partition, bundle)
-    report.write_typology_files(_out_dir(config), profiles, assignment, types, labels)
+    report.write_typology_files(_run(args))
     return 0
 
 
@@ -191,9 +127,8 @@ def cmd_run(args, parser: Parser) -> int:
     except DataError as exc:
         parser.error(str(exc))  # unknown or missing keys: a malformed invocation
     bundle = report.run_pipeline(config)  # validates the values; bad ones exit 2
-    print(json.dumps({"summary": bundle.summary,
-                      "skipped": [list(item) for item in bundle.skipped],
-                      "out_dir": config.out_dir}, sort_keys=True, indent=2))
+    _print_json({"summary": bundle.summary, "skipped": [list(item) for item in bundle.skipped],
+                 "out_dir": config.out_dir})
     return 0
 
 

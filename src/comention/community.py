@@ -9,8 +9,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .centrality import CentralityBundle
-from .errors import DataError
+from .centrality import CentralityBundle, rank
+from .errors import ConvergenceError, DataError
 from .graph import Graph, density
 
 logger = logging.getLogger(__name__)
@@ -183,7 +183,7 @@ def louvain(g: Graph, seed: int, resolution: float = 1.0) -> Partition:
         moved, labels = _one_level(nbrs, loops, total_weight, resolution, rng)
         q_here = _level_modularity(nbrs, loops, labels, total_weight, resolution)
         if q_here < q_prev - 1e-12:
-            raise RuntimeError(f"modularity decreased across a phase: {q_prev} -> {q_here}")
+            raise ConvergenceError(f"modularity decreased across a phase: {q_prev} -> {q_here}")
         q_prev = q_here
         if not moved:
             break
@@ -208,12 +208,8 @@ def filter_communities(p: Partition, min_size: int = 100) -> list[int]:
 
 def label_communities(g: Graph, p: Partition, bundle: CentralityBundle) -> dict[int, str]:
     """Name each community after its highest-betweenness member (ties: name ascending)."""
-    labels: dict[int, str] = {}
-    for c in range(p.count):
-        members = p.members(c)
-        best = min(members.tolist(), key=lambda v: (-bundle.betweenness[v], g.names[v]))
-        labels[c] = g.names[best]
-    return labels
+    return {c: g.names[rank(g, bundle.betweenness, p.members(c).tolist())[0]]
+            for c in range(p.count)}
 
 
 @dataclass(frozen=True)
@@ -368,7 +364,5 @@ def top_members(g: Graph, p: Partition, bundle: CentralityBundle,
         c = int(c)
         if not 0 <= c < p.count:
             raise DataError(f"unknown community id {c}")
-        members = p.members(c).tolist()
-        members.sort(key=lambda v: (-bundle.betweenness[v], g.names[v]))
-        out[c] = [g.names[v] for v in members[:k]]
+        out[c] = [g.names[v] for v in rank(g, bundle.betweenness, p.members(c).tolist())[:k]]
     return out

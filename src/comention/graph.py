@@ -217,8 +217,8 @@ def write_edge_csv(g: Graph, path) -> None:
             writer.writerow([a, b])
 
 
-def read_edge_csv(path) -> Graph:
-    """Load a two-column edge CSV produced by :func:`write_edge_csv`.
+def read_edge_pairs(path) -> list[tuple[str, str]]:
+    """Named pairs of a two-column CSV with a source,target header.
 
     Names are normalized the same way article ingest normalizes them, so a
     round trip through disk reproduces the graph exactly.
@@ -243,4 +243,9 @@ def read_edge_csv(path) -> Graph:
             pairs.append((a, b))
     if not pairs:
         raise DataError(f"{path}: no edges")
-    return build_graph(pairs)
+    return pairs
+
+
+def read_edge_csv(path) -> Graph:
+    """Load a two-column edge CSV produced by :func:`write_edge_csv`."""
+    return build_graph(read_edge_pairs(path))

@@ -174,10 +174,13 @@ def clique_expand(records: Iterable[ArticleRecord]) -> Iterator[tuple[str, str]]
 
 
 def ingest_stats(records: Sequence[ArticleRecord], g: Graph) -> dict:
-    """Corpus-level counts next to the graph they produced."""
+    """Corpus-level counts next to the graph ``g`` built from ``records``.
+
+    Every distinct co-mention pair is one edge of ``g``, so ``unique_pairs``
+    is its edge count.
+    """
     persons: set[str] = set()
     pair_slots = 0
-    unique_pairs: set[tuple[str, str]] = set()
     dates: list[str] = []
     for record in records:
         persons.update(record.persons)
@@ -185,13 +188,11 @@ def ingest_stats(records: Sequence[ArticleRecord], g: Graph) -> dict:
         pair_slots += k * (k - 1) // 2
         if record.date:
             dates.append(record.date)
-    for a, b in clique_expand(records):
-        unique_pairs.add((a, b) if a < b else (b, a))
     return {
         "articles": len(records),
         "persons_distinct": len(persons),
         "pair_slots": pair_slots,
-        "unique_pairs": len(unique_pairs),
+        "unique_pairs": g.edge_count,
         "nodes": g.node_count,
         "edges": g.edge_count,
         "density": density(g.node_count, g.edge_count),

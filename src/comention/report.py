@@ -9,6 +9,7 @@ import json
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -16,16 +17,17 @@ import numpy as np
 
 from . import centrality as centrality_mod
 from . import community as community_mod
+from .centrality import FLOAT_FORMAT
 from .errors import DataError
 from .graph import (Graph, build_graph, connected_components, degree_histogram,
                     density, diameter as graph_diameter, read_edge_csv,
-                    write_edge_csv)
+                    read_edge_pairs, write_edge_csv)
 from .ingest import (apply_aliases, clique_expand, ingest_stats, load_aliases,
                      load_articles, normalize_name)
 from .community import InducedGraph, Partition
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog
-from .typology import (CATEGORIES, TypeAssignment, TypeTable, assign_types,
-                       build_profiles, kmeans, load_affiliations, type_table)
+from .typology import (CATEGORIES, assign_types, build_profiles, kmeans,
+                       load_affiliations, type_table)
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +61,7 @@ def fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return format(value, ".12g")
+        return format(value, FLOAT_FORMAT)
     return str(value)
 
 
@@ -166,32 +168,10 @@ def load_input_graph(config: PipelineConfig):
         if aliases:
             records = apply_aliases(records, aliases)
         return build_graph(clique_expand(records)), records
-    pairs = _read_edge_pairs(config.input)
+    pairs = read_edge_pairs(config.input)
     if aliases:
         pairs = [(aliases.get(a, a), aliases.get(b, b)) for a, b in pairs]
     return build_graph(pairs), None
-
-
-def _read_edge_pairs(path) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["source", "target"]:
-            raise DataError(f"{path}: expected header 'source,target'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            a = normalize_name(row[0])
-            b = normalize_name(row[1])
-            if not a or not b:
-                raise DataError(f"{path}: line {lineno}: blank endpoint")
-            pairs.append((a, b))
-    if not pairs:
-        raise DataError(f"{path}: no edges")
-    return pairs
 
 
 # ---------------------------------------------------------------- exports
@@ -381,24 +361,165 @@ def emit_plot_data(dist: DegreeDistribution, fit: PowerLawFit | None, path) -> N
     write_csv(path, ["d", "count", "f_d", "fitted"], rows)
 
 
-# ------------------------------------------------------- artifact writers
+# ---------------------------------------------------------------- pipeline
 
-def write_centrality_files(out: Path, g: Graph, bundle, top_k: int) -> list[str]:
-    """centrality.csv/.json plus the four-column leaderboard files."""
-    order = sorted(range(g.node_count), key=lambda v: (-bundle.betweenness[v], g.names[v]))
-    write_csv(out / F_CENTRALITY,
+class PipelineRun:
+    """The products of one pipeline run, each computed on first use.
+
+    ``run`` asks for every product; a stage subcommand builds the same object
+    and asks only for what its writers need, so a file written by a stage
+    has the same bytes as the one ``run`` writes.  A product this input
+    cannot support is ``None``, and ``skipped`` maps its name (the stage
+    name in the manifest) to the reason; :meth:`require` raises that reason
+    as a :class:`DataError` instead.
+    """
+
+    def __init__(self, config: PipelineConfig):
+        self.config = config.validate()
+        self.skipped: dict[str, str] = {}
+
+    def _skip(self, stage: str, reason) -> None:
+        self.skipped[stage] = str(reason)
+
+    def require(self, product: str):
+        """The product, or the reason it was skipped raised as a DataError."""
+        value = getattr(self, product)
+        if value is None:
+            raise DataError(self.skipped[product])
+        return value
+
+    @cached_property
+    def out(self) -> Path:
+        out = Path(self.config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+
+    @cached_property
+    def source(self) -> tuple[Graph, list | None]:
+        """The graph and, for article input, the alias-folded records."""
+        return load_input_graph(self.config)
+
+    @property
+    def graph(self) -> Graph:
+        return self.source[0]
+
+    @cached_property
+    def components(self):
+        return connected_components(self.graph)
+
+    @cached_property
+    def bundle(self):
+        c = self.config
+        return centrality_mod.compute_bundle(
+            self.graph, eigen_tol=c.eigen_tol, eigen_max_iter=c.eigen_max_iter,
+            eigen_mixing=c.eigen_mixing, threads=c.threads, components=self.components)
+
+    @cached_property
+    def partition(self) -> Partition:
+        return community_mod.louvain(self.graph, self.config.seed, self.config.resolution)
+
+    @cached_property
+    def modularity(self) -> float:
+        return community_mod.modularity(self.graph, self.partition)
+
+    @cached_property
+    def retained(self) -> list[int]:
+        return community_mod.filter_communities(self.partition, self.config.min_community_size)
+
+    @cached_property
+    def summaries(self):
+        return community_mod.community_summary(self.graph, self.partition, self.bundle,
+                                               self.retained)
+
+    @cached_property
+    def labels(self) -> dict[int, str]:
+        return {s.community: s.label for s in self.summaries}
+
+    @cached_property
+    def members(self) -> dict[int, list[str]]:
+        return community_mod.top_members(self.graph, self.partition, self.bundle,
+                                         self.retained, k=self.config.top_k_members)
+
+    @cached_property
+    def induced(self) -> InducedGraph:
+        return community_mod.induced_graph(self.graph, self.partition, self.retained,
+                                           self.bundle, include_other=self.config.include_other)
+
+    @cached_property
+    def degree_dist(self) -> DegreeDistribution:
+        return DegreeDistribution.from_graph(self.graph)
+
+    @cached_property
+    def powerlaw(self) -> PowerLawFit | None:
+        try:
+            return fit_loglog(self.degree_dist, self.config.dmin)
+        except DataError as exc:
+            return self._skip("powerlaw", exc)
+
+    @cached_property
+    def typology(self) -> tuple | None:
+        """(profiles, type assignment, type table) over the retained communities."""
+        if not self.config.affiliations:
+            return self._skip("typology", "no affiliation table configured")
+        profiles = build_profiles(self.members, load_affiliations(self.config.affiliations))
+        try:
+            result = kmeans(np.vstack([p.counts for p in profiles]), self.config.kmeans_k,
+                            self.config.seed, restarts=self.config.restarts)
+        except DataError as exc:
+            return self._skip("typology", exc)
+        assignment = assign_types(profiles, result)
+        return profiles, assignment, type_table(assignment, profiles)
+
+    @cached_property
+    def degree_closeness_correlation(self) -> float | None:
+        try:
+            return centrality_mod.pearson_correlation(
+                self.bundle.degree.astype(np.float64), self.bundle.closeness)
+        except DataError as exc:
+            return self._skip("degree_closeness_correlation", exc)
+
+    @cached_property
+    def summary(self) -> dict:
+        g, labeling, fit = self.graph, self.components, self.powerlaw
+        largest = labeling.members(0)
+        return {
+            "nodes": g.node_count,
+            "edges": g.edge_count,
+            "density": density(g.node_count, g.edge_count),
+            "diameter": int(self.bundle.eccentricity[largest].max()) if largest.size > 1 else 0,
+            "component_count": labeling.count,
+            "community_count": self.partition.count,
+            "retained_count": len(self.retained),
+            "modularity": self.modularity,
+            "alpha": None if fit is None else fit.alpha,
+            "degree_closeness_r": self.degree_closeness_correlation,
+        }
+
+
+# ------------------------------------------------------- artifact writers
+# Each writer takes the run, asks it for the products it needs and returns
+# the names of the files it wrote.
+
+def write_ingest_files(run: PipelineRun) -> list[str]:
+    """edges.csv, plus ingest_stats.json for article input."""
+    g, records = run.source
+    write_edge_csv(g, run.out / F_EDGES)
+    if records is None:
+        return [F_EDGES]
+    write_json(run.out / F_INGEST, ingest_stats(records, g))
+    return [F_EDGES, F_INGEST]
+
+
+def write_centrality_files(run: PipelineRun) -> list[str]:
+    """centrality.csv and the four-column leaderboard top10.csv."""
+    g, bundle = run.graph, run.bundle
+    table = centrality_mod.top_table(g, bundle, k=run.config.top_k_persons)
+    write_csv(run.out / F_CENTRALITY,
               ["name", "degree", "closeness", "betweenness", "eigenvector", "clustering"],
               ([g.names[v], int(bundle.degree[v]), float(bundle.closeness[v]),
                 float(bundle.betweenness[v]), float(bundle.eigenvector[v]),
-                float(bundle.clustering[v])] for v in order))
-    write_json(out / "centrality.json", [
-        {"name": g.names[v], "degree": int(bundle.degree[v]),
-         "closeness": float(bundle.closeness[v]),
-         "betweenness": float(bundle.betweenness[v]),
-         "eigenvector": float(bundle.eigenvector[v]),
-         "clustering": float(bundle.clustering[v])} for v in order])
-
-    table = centrality_mod.top_table(g, bundle, k=top_k)
+                float(bundle.clustering[v])]
+               for v in centrality_mod.rank(g, bundle.betweenness)))
     depth = max(len(column) for column in table.columns.values())
     rows = []
     for i in range(depth):
@@ -410,50 +531,35 @@ def write_centrality_files(out: Path, g: Graph, bundle, top_k: int) -> list[str]
                 name += MARK
             row.append(name)
         rows.append(row)
-    write_csv(out / F_TOP10, ["rank", *table.measures], rows)
-    write_json(out / "top10.json", {
-        "columns": {m: table.columns[m] for m in table.measures},
-        "appearances": table.appearances})
-    return [F_CENTRALITY, "centrality.json", F_TOP10, "top10.json"]
+    write_csv(run.out / F_TOP10, ["rank", *table.measures], rows)
+    return [F_CENTRALITY, F_TOP10]
 
 
-def write_partition_files(out: Path, g: Graph, partition: Partition) -> list[str]:
-    write_csv(out / F_PARTITION, ["name", "community"],
+def write_partition_files(run: PipelineRun) -> list[str]:
+    g, partition = run.graph, run.partition
+    write_csv(run.out / F_PARTITION, ["name", "community"],
               ([g.names[v], int(partition.labels[v])] for v in range(g.node_count)))
-    write_json(out / "partition.json",
-               {g.names[v]: int(partition.labels[v]) for v in range(g.node_count)})
-    return [F_PARTITION, "partition.json"]
+    return [F_PARTITION]
 
 
-def write_community_files(out: Path, summaries, members, labels) -> list[str]:
-    """communities.csv/.json and top_members.csv/.json."""
-    write_csv(out / F_COMMUNITIES, ["rank", "label", "B", "S", "C", "E", "CC", "D"],
+def write_community_files(run: PipelineRun) -> list[str]:
+    """communities.csv and top_members.csv over the retained communities."""
+    summaries, members, labels = run.summaries, run.members, run.labels
+    write_csv(run.out / F_COMMUNITIES, ["rank", "label", "B", "S", "C", "E", "CC", "D"],
               ([i + 1, s.label, s.mean_betweenness, s.size, s.mean_closeness,
                 s.mean_eigenvector, s.mean_clustering, s.internal_density]
                for i, s in enumerate(summaries)))
-    write_json(out / "communities.json", [
-        {"rank": i + 1, "community": s.community, "label": s.label,
-         "mean_betweenness": s.mean_betweenness, "size": s.size,
-         "mean_closeness": s.mean_closeness,
-         "mean_eigenvector": s.mean_eigenvector,
-         "mean_eigenvector_x1000": s.mean_eigenvector * 1000.0,
-         "mean_clustering": s.mean_clustering,
-         "internal_density": s.internal_density}
-        for i, s in enumerate(summaries)])
-
-    rows = []
-    for c in sorted(members):
-        for rank, name in enumerate(members[c], start=1):
-            rows.append([c, labels.get(c, ""), rank, name])
-    write_csv(out / F_TOP_MEMBERS, ["community", "label", "rank", "name"], rows)
-    write_json(out / "top_members.json", {str(c): members[c] for c in sorted(members)})
-    return [F_COMMUNITIES, "communities.json", F_TOP_MEMBERS, "top_members.json"]
+    write_csv(run.out / F_TOP_MEMBERS, ["community", "label", "rank", "name"],
+              ([c, labels.get(c, ""), i, name] for c in sorted(members)
+               for i, name in enumerate(members[c], start=1)))
+    return [F_COMMUNITIES, F_TOP_MEMBERS]
 
 
-def write_induced_files(out: Path, induced: InducedGraph) -> list[str]:
-    export_graphml(induced, out / F_INDUCED_GRAPHML)
-    export_dot(induced, out / F_INDUCED_DOT)
-    write_json(out / F_INDUCED_JSON, {
+def write_induced_files(run: PipelineRun) -> list[str]:
+    induced = run.induced
+    export_graphml(induced, run.out / F_INDUCED_GRAPHML)
+    export_dot(induced, run.out / F_INDUCED_DOT)
+    write_json(run.out / F_INDUCED_JSON, {
         "communities": [
             {"community": c, "label": induced.labels[c], "size": induced.sizes[c],
              "mean_betweenness": induced.mean_betweenness[c],
@@ -464,148 +570,62 @@ def write_induced_files(out: Path, induced: InducedGraph) -> list[str]:
     return [F_INDUCED_GRAPHML, F_INDUCED_DOT, F_INDUCED_JSON]
 
 
-def write_powerlaw_files(out: Path, dist: DegreeDistribution,
-                         fit: PowerLawFit | None) -> list[str]:
-    write_csv(out / F_DEGREE_DIST, ["d", "count", "f_d"],
+def write_powerlaw_files(run: PipelineRun) -> list[str]:
+    """degree_dist.csv, the plot data and powerlaw.json (null when skipped)."""
+    dist, fit = run.degree_dist, run.powerlaw
+    write_csv(run.out / F_DEGREE_DIST, ["d", "count", "f_d"],
               zip(dist.degrees.tolist(), dist.counts.tolist(), dist.fractions.tolist()))
-    write_json(out / "degree_dist.json",
-               [{"d": int(d), "count": int(c), "f_d": float(f)}
-                for d, c, f in zip(dist.degrees, dist.counts, dist.fractions)])
-    emit_plot_data(dist, fit, out / F_POWERLAW_FIT)
-    write_json(out / F_POWERLAW, None if fit is None else {
-        "alpha": fit.alpha, "dmin": fit.dmin, "n_tail": fit.n_tail,
-        "method": fit.method, "intercept": fit.intercept, "r_squared": fit.r_squared})
-    return [F_DEGREE_DIST, "degree_dist.json", F_POWERLAW_FIT, F_POWERLAW]
+    emit_plot_data(dist, fit, run.out / F_POWERLAW_FIT)
+    write_json(run.out / F_POWERLAW, None if fit is None else dataclasses.asdict(fit))
+    return [F_DEGREE_DIST, F_POWERLAW_FIT, F_POWERLAW]
 
 
-def write_typology_files(out: Path, profiles, assignment: TypeAssignment,
-                         types: TypeTable, labels) -> list[str]:
-    write_csv(out / F_PROFILES, ["community", *CATEGORIES, "unlabeled"],
+def write_typology_files(run: PipelineRun) -> list[str]:
+    profiles, assignment, types = run.require("typology")
+    write_csv(run.out / F_PROFILES, ["community", *CATEGORIES, "unlabeled"],
               ([p.community, *p.counts.tolist(), p.unlabeled] for p in profiles))
-    write_json(out / "profiles.json", [
-        {"community": p.community, "counts": p.counts.tolist(),
-         "unlabeled": p.unlabeled, "unlabeled_names": list(p.unlabeled_names)}
-        for p in profiles])
-
     headers = ["category"] + [f"T{i + 1}" for i in range(len(types.type_ids))]
     rows = [[cat, *types.matrix[i].tolist()] for i, cat in enumerate(types.categories)]
     rows.append(["communities", *types.communities_per_type])
-    write_csv(out / F_TYPOLOGY, headers, rows)
-    write_json(out / "typology.json", {
-        "type_names": list(types.type_names),
-        "type_ids": list(types.type_ids),
-        "categories": list(types.categories),
-        "matrix": types.matrix.tolist(),
-        "communities_per_type": list(types.communities_per_type)})
-
+    write_csv(run.out / F_TYPOLOGY, headers, rows)
     display = {raw: i + 1 for i, raw in enumerate(types.type_ids)}
-    write_csv(out / F_COMMUNITY_TYPES, ["community", "label", "type", "type_name"],
-              ([c, labels.get(c, ""), display[assignment.types[c]],
+    write_csv(run.out / F_COMMUNITY_TYPES, ["community", "label", "type", "type_name"],
+              ([c, run.labels.get(c, ""), display[assignment.types[c]],
                 types.type_names[display[assignment.types[c]] - 1]]
                for c in sorted(assignment.types)))
-    return [F_PROFILES, "profiles.json", F_TYPOLOGY, "typology.json", F_COMMUNITY_TYPES]
+    return [F_PROFILES, F_TYPOLOGY, F_COMMUNITY_TYPES]
 
-
-# ---------------------------------------------------------------- pipeline
 
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
-    """Execute ingest through export and return the run's bundle.
+    """Run every stage, write every file, then summary.json and the manifest.
 
-    Stage order: input, centralities, communities, degree-distribution fit,
-    typology (only when an affiliation table is configured), exports.  A stage
-    that cannot run on this input is recorded in ``skipped`` with its reason;
-    genuine data errors propagate.
+    Every product is computed before the first file is written, so a data
+    error leaves no partial output.  A stage that cannot run on this input
+    (power law, typology, degree-closeness correlation) is recorded in
+    ``skipped`` with its reason, in that order; genuine data errors propagate.
     """
-    config.validate()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    skipped: list[tuple[str, str]] = []
-
-    g, records = load_input_graph(config)
-    labeling = connected_components(g)
-    bundle = centrality_mod.compute_bundle(
-        g, eigen_tol=config.eigen_tol, eigen_max_iter=config.eigen_max_iter,
-        eigen_mixing=config.eigen_mixing, threads=config.threads, components=labeling)
-    diam = int(bundle.eccentricity[labeling.members(0)].max()) if labeling.sizes[0] > 1 else 0
-
-    partition = community_mod.louvain(g, config.seed, config.resolution)
-    q = community_mod.modularity(g, partition)
-    retained = community_mod.filter_communities(partition, config.min_community_size)
-    summaries = community_mod.community_summary(g, partition, bundle, retained)
-    induced = community_mod.induced_graph(g, partition, retained, bundle,
-                                          include_other=config.include_other)
-    members = community_mod.top_members(g, partition, bundle, retained,
-                                        k=config.top_k_members)
-    labels = {s.community: s.label for s in summaries}
-
-    dist = DegreeDistribution.from_graph(g)
-    fit = None
-    try:
-        fit = fit_loglog(dist, config.dmin)
-    except DataError as exc:
-        skipped.append(("powerlaw", str(exc)))
-
-    profiles = assignment = types = None
-    if not config.affiliations:
-        skipped.append(("typology", "no affiliation table configured"))
-    else:
-        table = load_affiliations(config.affiliations)
-        profiles = build_profiles(members, table)
-        try:
-            result = kmeans(np.vstack([p.counts for p in profiles]),
-                            config.kmeans_k, config.seed, restarts=config.restarts)
-        except DataError as exc:
-            skipped.append(("typology", str(exc)))
-            profiles = None
-        else:
-            assignment = assign_types(profiles, result)
-            types = type_table(assignment, profiles)
-
-    try:
-        r_deg_close = centrality_mod.pearson_correlation(
-            bundle.degree.astype(np.float64), bundle.closeness)
-    except DataError as exc:
-        r_deg_close = None
-        skipped.append(("degree_closeness_correlation", str(exc)))
-
-    summary = {
-        "nodes": g.node_count,
-        "edges": g.edge_count,
-        "density": density(g.node_count, g.edge_count),
-        "diameter": diam,
-        "component_count": labeling.count,
-        "community_count": partition.count,
-        "retained_count": len(retained),
-        "modularity": q,
-        "alpha": None if fit is None else fit.alpha,
-        "degree_closeness_r": r_deg_close,
-    }
-
-    emitted: list[str] = []
-    write_edge_csv(g, out / F_EDGES)
-    emitted.append(F_EDGES)
-    if records is not None:
-        write_json(out / F_INGEST, ingest_stats(records, g))
-        emitted.append(F_INGEST)
-    emitted += write_centrality_files(out, g, bundle, config.top_k_persons)
-    emitted += write_partition_files(out, g, partition)
-    emitted += write_community_files(out, summaries, members, labels)
-    emitted += write_induced_files(out, induced)
-    emitted += write_powerlaw_files(out, dist, fit)
-    export_graphml(g, out / F_GRAPHML)
+    run = PipelineRun(config)
+    for product in ("powerlaw", "typology", "degree_closeness_correlation", "summary",
+                    "labels", "members", "induced"):
+        getattr(run, product)
+    emitted = [*write_ingest_files(run), *write_centrality_files(run),
+               *write_partition_files(run), *write_community_files(run),
+               *write_induced_files(run), *write_powerlaw_files(run)]
+    export_graphml(run.graph, run.out / F_GRAPHML)
     emitted.append(F_GRAPHML)
-    if types is not None:
-        emitted += write_typology_files(out, profiles, assignment, types, labels)
-    write_json(out / F_SUMMARY, summary)
+    if run.typology is not None:
+        emitted += write_typology_files(run)
+    write_json(run.out / F_SUMMARY, run.summary)
     emitted.append(F_SUMMARY)
 
-    digests = {name: sha256_file(out / name) for name in sorted(emitted)}
-    write_json(out / F_MANIFEST, {
+    skipped = tuple(run.skipped.items())
+    digests = {name: sha256_file(run.out / name) for name in sorted(emitted)}
+    write_json(run.out / F_MANIFEST, {
         "config": config.echo(),
         "files": digests,
         "skipped": [list(item) for item in skipped],
     })
-    return ReportBundle(summary=summary, files=digests, skipped=tuple(skipped))
+    return ReportBundle(summary=run.summary, files=digests, skipped=skipped)
 
 
 # ---------------------------------------------------------------- audit

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConvergenceError, DataError
 from .ingest import normalize_name
 
 logger = logging.getLogger(__name__)
@@ -112,6 +112,12 @@ class KMeansResult:
     iterations: int
 
 
+def _objective(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    """Within-cluster sum of squared distances."""
+    shifted = points - centroids[labels]
+    return float((shifted * shifted).sum())
+
+
 def _kmeans_once(points: np.ndarray, k: int, seed: int, max_iter: int) -> KMeansResult:
     n = points.shape[0]
     rng = np.random.default_rng(seed)
@@ -147,10 +153,9 @@ def _kmeans_once(points: np.ndarray, k: int, seed: int, max_iter: int) -> KMeans
             members = points[new_labels == c]
             if members.size:
                 centroids[c] = members.mean(axis=0)
-        shifted = points - centroids[new_labels]
-        new_objective = float((shifted * shifted).sum())
+        new_objective = _objective(points, centroids, new_labels)
         if new_objective > objective + 1e-9:
-            raise RuntimeError(f"k-means objective increased: {objective} -> {new_objective}")
+            raise ConvergenceError(f"k-means objective increased: {objective} -> {new_objective}")
         done = bool((new_labels == labels).all())
         labels = new_labels
         objective = new_objective

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from comention import DataError, community, read_edge_csv, typology
 from comention.cli import main
 
 ARTICLES = "\n".join(
@@ -375,3 +376,128 @@ class TestErrorChannels:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+
+class TestStageParity:
+    """Each stage subcommand writes the same bytes as ``run`` with the same options."""
+
+    STAGES = {
+        "ingest": [],
+        "centrality": [],
+        "communities": ["--seed", "5", "--min-community-size", "2"],
+        "induced": ["--seed", "5", "--min-community-size", "2"],
+        "typology": ["--seed", "5", "--min-community-size", "2", "--k", "2"],
+        "fit-powerlaw": [],
+    }
+
+    @staticmethod
+    def assert_parity(tmp_path, source, affiliations, capsys):
+        run_out = tmp_path / "run"
+        assert run_cli("run", *source, "--affiliations", affiliations, "--seed", "5",
+                       "--min-community-size", "2", "--k", "2", "--out-dir", run_out) == 0
+        written = {}
+        for stage, options in TestStageParity.STAGES.items():
+            if stage == "ingest" and "edges" in source:
+                continue  # ingest reads articles only
+            out = tmp_path / stage
+            argv = [stage, *source, *options, "--out-dir", out]
+            if stage == "ingest":  # takes no --input-format
+                argv = [stage, "--input", source[1], "--out-dir", out]
+            elif stage == "typology":
+                argv += ["--affiliations", affiliations]
+            rc = run_cli(*argv)
+            written[stage] = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            assert rc == (0 if written[stage] else 2), stage
+            for name in written[stage]:
+                assert (out / name).read_bytes() == (run_out / name).read_bytes(), (stage, name)
+        capsys.readouterr()
+        return written
+
+    def test_articles_with_affiliations(self, tmp_path, articles, capsys):
+        aff = tmp_path / "affiliations.csv"
+        aff.write_text(AFFILIATIONS, encoding="utf-8")
+        written = self.assert_parity(tmp_path, ["--input", articles], aff, capsys)
+        for stage, names in (
+                ("ingest", {"edges.csv", "ingest_stats.json"}),
+                ("centrality", {"centrality.csv", "top10.csv"}),
+                ("communities", {"communities.csv", "partition.csv", "top_members.csv"}),
+                ("induced", {"induced.dot", "induced.graphml", "induced.json"}),
+                ("typology", {"community_types.csv", "profiles.csv", "typology.csv"})):
+            assert names <= set(written[stage]), stage
+        # two distinct tail degrees: the fit is skipped by run, an error here
+        assert written["fit-powerlaw"] == []
+
+    def test_edges_input(self, tmp_path, capsys):
+        edges = TestFitPowerlaw.star_forest(tmp_path)
+        with open(edges, newline="", encoding="utf-8") as fh:
+            names = sorted({name for row in csv.reader(fh) for name in row} - {"source", "target"})
+        aff = tmp_path / "affiliations.csv"
+        aff.write_text("name,category\n" + "".join(
+            f"{name},{'business' if name.startswith('h') else 'press'}\n" for name in names),
+            encoding="utf-8")
+        written = self.assert_parity(
+            tmp_path, ["--input", edges, "--input-format", "edges"], aff, capsys)
+        assert {"degree_dist.csv", "powerlaw.json", "powerlaw_fit.csv"} <= set(
+            written["fit-powerlaw"])
+        assert all(written[stage] for stage in self.STAGES if stage != "ingest")
+
+
+class TestEdgesInput:
+    def test_aliases_fold_collapse_and_drop(self, tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("source,target\nA,B\nA2,B\nA,A2\nB,C\nC,D\nD,E\n",
+                         encoding="utf-8")
+        aliases = tmp_path / "aliases.csv"
+        aliases.write_text("alias,canonical\nA2,A\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = run_cli("run", "--input", edges, "--input-format", "edges",
+                     "--aliases", aliases, "--seed", "1", "--min-community-size", "1",
+                     "--out-dir", out)
+        assert rc == 0
+        # A2,B collapses onto A,B; A,A2 becomes a self-pair and is dropped
+        assert (out / "edges.csv").read_text(encoding="utf-8") == (
+            "source,target\nA,B\nB,C\nC,D\nD,E\n")
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["nodes"] == 5
+        assert payload["summary"]["edges"] == 4
+
+    @pytest.mark.parametrize("text", [
+        "from,to\nA,B\n",       # bad header
+        "source,target\nA\n",   # one column
+        "source,target\nA, \n",  # blank endpoint
+    ])
+    def test_malformed_csv_same_error_everywhere(self, tmp_path, capsys, text):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_edge_csv(edges)
+        rc = run_cli("stats", "--input", edges, "--input-format", "edges")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+class TestNumericalFailures:
+    def test_louvain_modularity_decrease_exits_3(self, tmp_path, articles, capsys,
+                                                  monkeypatch):
+        values = iter([0.5, 0.1])
+        monkeypatch.setattr(community, "_level_modularity", lambda *a: next(values))
+        rc = run_cli("communities", "--input", articles, "--out-dir", tmp_path / "out",
+                     "--seed", "5", "--min-community-size", "2")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: modularity decreased" in err
+        assert "Traceback" not in err
+
+    def test_kmeans_objective_increase_exits_3(self, tmp_path, articles, capsys,
+                                               monkeypatch):
+        values = iter(range(1, 100))
+        monkeypatch.setattr(typology, "_objective", lambda *a: float(next(values)))
+        aff = tmp_path / "affiliations.csv"
+        aff.write_text(AFFILIATIONS, encoding="utf-8")
+        rc = run_cli("typology", "--input", articles, "--out-dir", tmp_path / "out",
+                     "--seed", "5", "--min-community-size", "2",
+                     "--affiliations", aff, "--k", "2")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: k-means objective increased" in err
+        assert "Traceback" not in err

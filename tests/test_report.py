@@ -7,6 +7,7 @@ import pytest
 
 from conftest import graph_from, id_pairs, modularity_oracle, random_pairs
 from comention import (
+    CentralityBundle,
     DataError,
     DegreeDistribution,
     Partition,
@@ -20,8 +21,11 @@ from comention import (
     induced_graph,
     read_graphml,
     run_pipeline,
+    top_k,
+    top_members,
 )
 from comention.report import (
+    F_CENTRALITY,
     F_COMMUNITY_TYPES,
     F_DEGREE_DIST,
     F_EDGES,
@@ -32,7 +36,9 @@ from comention.report import (
     F_SUMMARY,
     F_TOP10,
     F_TYPOLOGY,
+    PipelineRun,
     audit,
+    write_centrality_files,
 )
 
 CLIQUE_ARTICLES = [
@@ -178,6 +184,23 @@ class TestRunPipeline:
         assert bundle.summary["alpha"] is None
         assert any(stage == "powerlaw" for stage, _ in bundle.skipped)
 
+    def test_manifest_lists_the_documented_files(self, tmp_path):
+        bundle = run_pipeline(clique_config(tmp_path))
+        assert set(bundle.files) == {
+            "edges.csv", "ingest_stats.json", "graph.graphml", "centrality.csv",
+            "top10.csv", "partition.csv", "communities.csv", "top_members.csv",
+            "induced.json", "induced.graphml", "induced.dot", "degree_dist.csv",
+            "powerlaw_fit.csv", "powerlaw.json", "profiles.csv", "typology.csv",
+            "community_types.csv", "summary.json"}
+        written = {p.name for p in (tmp_path / "out").iterdir()}
+        assert written == set(bundle.files) | {F_MANIFEST}
+
+    def test_data_error_leaves_no_partial_output(self, tmp_path):
+        with pytest.raises(DataError, match="min_size"):
+            run_pipeline(clique_config(tmp_path, min_community_size=50))
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_typology_skipped_without_affiliations(self, tmp_path):
         bundle = run_pipeline(
             clique_config(tmp_path, with_affiliations=False)
@@ -219,6 +242,42 @@ class TestRunPipeline:
         )
         with pytest.raises((DataError, OSError)):
             run_pipeline(cfg)
+
+
+class TestRoundOffProofRanking:
+    """Scores equal in every written digit rank by name, whatever the round-off."""
+
+    @staticmethod
+    def near_tie(tmp_path):
+        g = build_graph([("Zed", "Amy"), ("Amy", "Bob"), ("Bob", "Zed")])
+        n = g.node_count
+        betweenness = np.zeros(n)
+        betweenness[g.name_to_id["Amy"]] = 0.3
+        betweenness[g.name_to_id["Zed"]] = 0.3 * (1.0 + 1e-15)  # a few ulps above
+        assert betweenness[g.name_to_id["Zed"]] > betweenness[g.name_to_id["Amy"]]
+        bundle = CentralityBundle(
+            degree=g.degrees.astype(np.int64), closeness=np.zeros(n),
+            betweenness=betweenness, eigenvector=np.zeros(n),
+            clustering=np.zeros(n), eccentricity=np.ones(n, dtype=np.int64))
+        run = PipelineRun(PipelineConfig(input="unused", seed=1,
+                                         out_dir=str(tmp_path / "out")))
+        run.source = (g, None)
+        run.bundle = bundle
+        return g, bundle, run
+
+    def test_tables_and_top_k_list_the_pair_in_name_order(self, tmp_path):
+        g, bundle, run = self.near_tie(tmp_path)
+        write_centrality_files(run)
+        out = tmp_path / "out"
+        with open(out / F_CENTRALITY, newline="", encoding="utf-8") as fh:
+            names = [row["name"] for row in csv.DictReader(fh)]
+        assert names == ["Amy", "Zed", "Bob"]
+        with open(out / F_TOP10, newline="", encoding="utf-8") as fh:
+            column = [row["betweenness"].rstrip("†") for row in csv.DictReader(fh)]
+        assert column[:2] == ["Amy", "Zed"]
+        assert top_k(g, bundle, "betweenness", k=2) == ["Amy", "Zed"]
+        one = Partition.from_labels([0] * g.node_count)
+        assert top_members(g, one, bundle, [0], k=2) == {0: ["Amy", "Zed"]}
 
 
 class TestGraphML:
