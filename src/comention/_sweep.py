@@ -1,4 +1,4 @@
-"""Level-synchronous BFS engines shared by the distance and betweenness code.
+"""One level-synchronous BFS shared by the distance and betweenness code.
 
 Each BFS level is processed with whole-array numpy operations instead of a
 per-edge Python loop.
@@ -43,35 +43,48 @@ class SweepResult:
 def gather_rows(indptr: np.ndarray, adjacency: np.ndarray, rows: np.ndarray):
     """Concatenate the adjacency rows of ``rows``.
 
-    Returns ``(neighbors, owners)`` where ``owners[i]`` is the row that
-    contributed ``neighbors[i]``.
+    Returns ``(neighbors, counts)`` where ``counts[i]`` is the length of row
+    ``rows[i]``, so ``np.repeat(rows, counts)`` names the row of each neighbor.
     """
-    counts = indptr[rows + 1] - indptr[rows]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=adjacency.dtype)
-        return empty, empty
-    offsets = np.repeat(indptr[rows] - np.concatenate(([0], np.cumsum(counts[:-1]))), counts)
-    neighbors = adjacency[offsets + np.arange(total)]
-    owners = np.repeat(rows, counts)
-    return neighbors, owners
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return adjacency[offsets + np.arange(offsets.size)], counts
 
 
-def bfs_distances(indptr, adjacency, node_count: int, source: int) -> np.ndarray:
-    """Hop distances from ``source``; unreachable nodes get -1."""
-    dist = np.full(node_count, -1, dtype=np.int64)
+def bfs(indptr, adjacency, dist: np.ndarray, source: int, sigma: np.ndarray | None = None):
+    """Level-synchronous BFS from ``source``; fills ``dist`` (all -1 on entry).
+
+    Returns ``(eccentricity, distance_sum, reached, level_edges)``.  With
+    ``sigma`` (all 0 on entry) it also counts shortest paths into ``sigma``
+    and lists each level's ``(tails, heads)`` edges, for Brandes' dependency
+    pass; without it ``level_edges`` stays empty.
+    """
     dist[source] = 0
+    if sigma is not None:
+        sigma[source] = 1.0
     frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        neighbors, _ = gather_rows(indptr, adjacency, frontier)
-        fresh = neighbors[dist[neighbors] == -1]
-        if fresh.size == 0:
-            break
+    level = total = 0
+    reached = 1
+    level_edges: list[tuple[np.ndarray, np.ndarray]] = []
+    while True:
+        neighbors, counts = gather_rows(indptr, adjacency, frontier)
+        unseen = dist[neighbors] == -1
+        fresh = neighbors[unseen]
+        if sigma is not None:
+            tails = np.repeat(frontier, counts)[unseen]
+        # np.unique keeps each frontier sorted; that order fixes the Brandes
+        # edge arrays and so the order in which dependencies are summed
         frontier = np.unique(fresh)
+        if frontier.size == 0:
+            return level, total, reached, level_edges
         level += 1
         dist[frontier] = level
-    return dist
+        total += level * frontier.size
+        reached += frontier.size
+        if sigma is not None:
+            sigma += np.bincount(fresh, weights=sigma[tails], minlength=sigma.size)
+            level_edges.append((tails, fresh))
 
 
 def _chunk_sweep(indptr, adjacency, node_count, want_betweenness, sources, weights):
@@ -81,63 +94,20 @@ def _chunk_sweep(indptr, adjacency, node_count, want_betweenness, sources, weigh
     dist_sum = np.zeros(k, dtype=np.int64)
     reach = np.zeros(k, dtype=np.int64)
     raw = np.zeros(node_count, dtype=np.float64) if want_betweenness else None
-    sigma = np.zeros(node_count, dtype=np.float64)
-    delta = np.zeros(node_count, dtype=np.float64)
+    sigma = np.zeros(node_count, dtype=np.float64) if want_betweenness else None
+    dist = np.empty(node_count, dtype=np.int64)
 
-    for i in range(k):
-        s = int(sources[i])
-        dist = np.full(node_count, -1, dtype=np.int64)
-        dist[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        level = 0
-        if not want_betweenness:
-            total = 0
-            count = 1
-            while frontier.size:
-                neighbors, _ = gather_rows(indptr, adjacency, frontier)
-                fresh = neighbors[dist[neighbors] == -1]
-                if fresh.size == 0:
-                    break
-                frontier = np.unique(fresh)
-                level += 1
-                dist[frontier] = level
-                total += level * frontier.size
-                count += frontier.size
-            ecc[i] = level
-            dist_sum[i] = total
-            reach[i] = count
+    for i, s in enumerate(sources.tolist()):
+        dist.fill(-1)
+        if sigma is not None:
+            sigma.fill(0.0)
+        ecc[i], dist_sum[i], reach[i], level_edges = bfs(indptr, adjacency, dist, s, sigma)
+        if raw is None:
             continue
-
-        sigma[:] = 0.0
-        sigma[s] = 1.0
-        level_edges: list[tuple[np.ndarray, np.ndarray]] = []
-        total = 0
-        count = 1
-        while frontier.size:
-            neighbors, owners = gather_rows(indptr, adjacency, frontier)
-            fresh_mask = dist[neighbors] == -1
-            if fresh_mask.any():
-                dist[neighbors[fresh_mask]] = level + 1
-            onward = dist[neighbors] == level + 1
-            e_src = owners[onward]
-            e_dst = neighbors[onward]
-            if e_dst.size:
-                sigma += np.bincount(e_dst, weights=sigma[e_src], minlength=node_count)
-                level_edges.append((e_src, e_dst))
-            frontier = np.unique(neighbors[fresh_mask])
-            if frontier.size == 0:
-                break
-            level += 1
-            total += level * frontier.size
-            count += frontier.size
-        ecc[i] = level
-        dist_sum[i] = total
-        reach[i] = count
-
-        delta[:] = 0.0
-        for e_src, e_dst in reversed(level_edges):
-            contrib = sigma[e_src] / sigma[e_dst] * (1.0 + delta[e_dst])
-            delta += np.bincount(e_src, weights=contrib, minlength=node_count)
+        delta = np.zeros(node_count, dtype=np.float64)
+        for tails, heads in reversed(level_edges):
+            contrib = sigma[tails] / sigma[heads] * (1.0 + delta[heads])
+            delta += np.bincount(tails, weights=contrib, minlength=node_count)
         delta[s] = 0.0
         raw += weights[i] * delta
     return ecc, dist_sum, reach, raw

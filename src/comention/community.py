@@ -11,7 +11,7 @@ import numpy as np
 
 from .centrality import CentralityBundle, rank
 from .errors import ConvergenceError, DataError
-from .graph import Graph, density
+from .graph import Graph, density, relabel_by_size
 
 logger = logging.getLogger(__name__)
 
@@ -50,15 +50,11 @@ class Partition:
         return np.flatnonzero(self.labels == community)
 
 
-def renumber_by_size(labels: np.ndarray) -> Partition:
-    """Relabel communities densely, largest first; ties keep earlier first member."""
-    labels = np.asarray(labels, dtype=np.int64)
-    uniq, first_pos, inverse, counts = np.unique(
-        labels, return_index=True, return_inverse=True, return_counts=True)
-    rank = np.lexsort((first_pos, -counts))
-    remap = np.empty(uniq.size, dtype=np.int64)
-    remap[rank] = np.arange(uniq.size)
-    return Partition.from_labels(remap[inverse])
+def intra_edges(g: Graph, p: Partition) -> np.ndarray:
+    """Number of edges with both endpoints in community ``c``, per ``c``."""
+    us, vs = g.edge_arrays()
+    lu = p.labels[us]
+    return np.bincount(lu[lu == p.labels[vs]], minlength=p.count)
 
 
 def modularity(g: Graph, p: Partition) -> float:
@@ -66,10 +62,7 @@ def modularity(g: Graph, p: Partition) -> float:
     if p.labels.size != g.node_count:
         raise DataError(f"partition covers {p.labels.size} nodes, graph has {g.node_count}")
     m = g.edge_count
-    us, vs = g.edge_arrays()
-    lu = p.labels[us]
-    lv = p.labels[vs]
-    e_c = np.bincount(lu[lu == lv], minlength=p.count)
+    e_c = intra_edges(g, p)
     d_c = np.bincount(p.labels, weights=g.degrees.astype(np.float64), minlength=p.count)
     return float((e_c / m).sum() - ((d_c / (2.0 * m)) ** 2).sum())
 
@@ -190,7 +183,7 @@ def louvain(g: Graph, seed: int, resolution: float = 1.0) -> Partition:
         label_arr = np.asarray(labels, dtype=np.int64)
         node_to_comm = label_arr[node_to_comm]
         nbrs, loops = _aggregate(nbrs, loops, labels, int(label_arr.max()) + 1)
-    return renumber_by_size(node_to_comm)
+    return Partition(*relabel_by_size(node_to_comm))
 
 
 def filter_communities(p: Partition, min_size: int = 100) -> list[int]:
@@ -239,10 +232,7 @@ def community_summary(g: Graph, p: Partition, bundle: CentralityBundle,
     mean_c = np.bincount(p.labels, weights=bundle.closeness, minlength=p.count) / sizes
     mean_e = np.bincount(p.labels, weights=bundle.eigenvector, minlength=p.count) / sizes
     mean_cc = np.bincount(p.labels, weights=bundle.clustering, minlength=p.count) / sizes
-    us, vs = g.edge_arrays()
-    lu = p.labels[us]
-    lv = p.labels[vs]
-    intra = np.bincount(lu[lu == lv], minlength=p.count)
+    intra = intra_edges(g, p)
 
     out = []
     for c in communities:

@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._sweep import bfs_distances, sweep
+from ._sweep import bfs, sweep
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -177,21 +177,28 @@ def connected_components(g: Graph) -> ComponentLabeling:
             parent[rv] = ru
 
     roots = np.fromiter((find(v) for v in range(n)), count=n, dtype=np.int64)
-    uniq, first_pos, inverse, counts = np.unique(
-        roots, return_index=True, return_inverse=True, return_counts=True)
-    # size-descending order; ties fall back to the earlier first appearance
-    rank = np.lexsort((first_pos, -counts))
-    remap = np.empty(uniq.size, dtype=np.int64)
-    remap[rank] = np.arange(uniq.size)
-    labels = remap[inverse]
-    sizes = tuple(int(c) for c in counts[rank])
+    labels, sizes = relabel_by_size(roots)
     return ComponentLabeling(labels=labels, sizes=sizes)
+
+
+def relabel_by_size(groups) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Relabel groups densely, largest first; ties keep the earlier first member.
+
+    Returns the new per-node labels and the size of each new label.
+    """
+    uniq, first_pos, inverse, counts = np.unique(
+        groups, return_index=True, return_inverse=True, return_counts=True)
+    order = np.lexsort((first_pos, -counts))
+    remap = np.empty(uniq.size, dtype=np.int64)
+    remap[order] = np.arange(uniq.size)
+    return remap[inverse], tuple(int(c) for c in counts[order])
 
 
 def shortest_path_lengths(g: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source``; unreachable nodes hold ``UNREACHABLE``."""
-    source = g.check_node(source)
-    return bfs_distances(g.indptr, g.adjacency, g.node_count, source)
+    dist = np.full(g.node_count, UNREACHABLE, dtype=np.int64)
+    bfs(g.indptr, g.adjacency, dist, g.check_node(source))
+    return dist
 
 
 def diameter(g: Graph, *, components: ComponentLabeling | None = None,

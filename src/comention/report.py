@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,8 +124,10 @@ class PipelineConfig:
                 raise DataError(f"{field} must be a positive integer, got {value!r}")
         if self.threads is not None and (not isinstance(self.threads, int) or self.threads < 1):
             raise DataError(f"threads must be a positive integer, got {self.threads!r}")
-        if not self.resolution > 0:
-            raise DataError(f"resolution must be positive, got {self.resolution!r}")
+        for field in ("resolution", "eigen_tol"):
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"{field} must be finite and positive, got {value!r}")
         if not 0.0 < self.eigen_mixing <= 1.0:
             raise DataError(f"eigen_mixing must be in (0, 1], got {self.eigen_mixing!r}")
         return self
@@ -562,7 +565,7 @@ def write_induced_files(run: PipelineRun) -> list[str]:
     write_json(run.out / F_INDUCED_JSON, {
         "communities": [
             {"community": c, "label": induced.labels[c], "size": induced.sizes[c],
-             "mean_betweenness": induced.mean_betweenness[c],
+             "mean_betweenness": float(fmt(induced.mean_betweenness[c])),
              "intra_weight": induced.intra_weights[c]}
             for c in induced.community_ids],
         "edges": [{"a": a, "b": b, "weight": w} for a, b, w in induced.edges],
@@ -806,10 +809,7 @@ def _audit_community_means(out: Path, g: Graph, partition: Partition,
     """Rebuild communities.csv means from centrality.csv and the partition."""
     with open(out / F_COMMUNITIES, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    us, vs = g.edge_arrays()
-    lu = partition.labels[us]
-    lv = partition.labels[vs]
-    intra = np.bincount(lu[lu == lv], minlength=partition.count)
+    intra = community_mod.intra_edges(g, partition)
 
     problems = []
     for row in rows:

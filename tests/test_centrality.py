@@ -428,7 +428,8 @@ class TestTwinCollapsing:
             assert all(bundle.closeness[g.name_to_id[z]] == 1.0 for z in ("z0", "z3"))
         assert collapsed >= 15  # twins outside the K4 as well
 
-    def test_duplicate_and_subset_sources(self):
+    @pytest.mark.parametrize("betweenness", [False, True])
+    def test_duplicate_and_subset_sources(self, betweenness):
         rng = np.random.default_rng(227)
         g = with_isolated_node(build_graph(clique_expanded(rng, 12, 5, 5)))
         n = g.node_count
@@ -438,13 +439,16 @@ class TestTwinCollapsing:
         assert twins
         sources = [twins[0], n - 1, reps[twins[0]], twins[0], 3, 3, twins[-1]]
         result = _sweep.sweep(g.indptr, g.adjacency, n, np.array(sources),
-                              betweenness=True, threads=1)
+                              betweenness=betweenness, threads=1)
         dist = floyd_warshall(n, pairs)
         for i, s in enumerate(sources):
             finite = [d for d in dist[s] if d < INF]
             assert result.eccentricity[i] == max(finite)
             assert result.distance_sum[i] == sum(finite)
             assert result.reachable[i] == len(finite)
+        if not betweenness:
+            assert result.betweenness_raw is None
+            return
         want = sum(dependency_oracle(n, pairs, s) for s in sources)
         assert np.allclose(result.betweenness_raw, want, atol=1e-9, rtol=0)
 

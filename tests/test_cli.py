@@ -345,13 +345,23 @@ class TestOptionValidation:
         assert run_cli(*argv) == 2
         assert not out.exists()
 
-    def test_non_positive_resolution_is_data_error(self, tmp_path, articles, capsys):
-        rc = run_cli(
-            "communities", "--input", articles, "--out-dir", tmp_path / "out",
-            "--seed", "5", "--resolution", "-1",
-        )
+    @pytest.mark.parametrize("command,option,value", [
+        pytest.param("communities", "resolution", "-1", id="resolution=-1"),
+        pytest.param("communities", "resolution", "inf", id="resolution=inf"),
+        pytest.param("centrality", "eigen-tol", "-1", id="eigen-tol=-1"),
+        pytest.param("centrality", "eigen-tol", "0", id="eigen-tol=0"),
+        pytest.param("centrality", "eigen-tol", "nan", id="eigen-tol=nan"),
+        pytest.param("centrality", "eigen-tol", "inf", id="eigen-tol=inf"),
+    ])
+    def test_out_of_range_float_option_is_data_error(self, tmp_path, articles, capsys,
+                                                     command, option, value):
+        out = tmp_path / "out"
+        seed = ["--seed", "5"] if command == "communities" else []
+        rc = run_cli(command, "--input", articles, "--out-dir", out, *seed,
+                     f"--{option}", value)
         assert rc == 2
-        assert "resolution" in capsys.readouterr().err
+        assert option.replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorChannels:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -29,6 +30,7 @@ from comention.report import (
     F_COMMUNITY_TYPES,
     F_DEGREE_DIST,
     F_EDGES,
+    F_INDUCED_JSON,
     F_INGEST,
     F_MANIFEST,
     F_PARTITION,
@@ -39,6 +41,7 @@ from comention.report import (
     PipelineRun,
     audit,
     write_centrality_files,
+    write_induced_files,
 )
 
 CLIQUE_ARTICLES = [
@@ -278,6 +281,19 @@ class TestRoundOffProofRanking:
         assert top_k(g, bundle, "betweenness", k=2) == ["Amy", "Zed"]
         one = Partition.from_labels([0] * g.node_count)
         assert top_members(g, one, bundle, [0], k=2) == {0: ["Amy", "Zed"]}
+
+    def test_induced_json_ignores_round_off(self, tmp_path):
+        written, means = set(), set()
+        for i, scale in enumerate((1.0, 1.0 + 1e-15)):
+            g, bundle, run = self.near_tie(tmp_path / str(i))
+            run.bundle = dataclasses.replace(bundle, betweenness=bundle.betweenness * scale)
+            run.partition = Partition.from_labels([0] * g.node_count)
+            run.retained = [0]
+            write_induced_files(run)
+            means.add(run.induced.mean_betweenness[0])
+            written.add((tmp_path / str(i) / "out" / F_INDUCED_JSON).read_bytes())
+        assert len(means) == 2
+        assert len(written) == 1
 
 
 class TestGraphML:
