@@ -5,13 +5,13 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .centrality import CentralityBundle, rank
 from .errors import ConvergenceError, DataError
-from .graph import Graph, density, relabel_by_size
+from .graph import Graph, relabel_by_size
 
 logger = logging.getLogger(__name__)
 
@@ -57,39 +57,24 @@ def intra_edges(g: Graph, p: Partition) -> np.ndarray:
     return np.bincount(lu[lu == p.labels[vs]], minlength=p.count)
 
 
-def modularity(g: Graph, p: Partition) -> float:
-    """Q = sum over communities of e_c/m - (d_c / 2m)^2."""
+def modularity(g: Graph, p: Partition, resolution: float = 1.0) -> float:
+    """Q = sum over communities of e_c/m - resolution * (d_c / 2m)^2."""
     if p.labels.size != g.node_count:
         raise DataError(f"partition covers {p.labels.size} nodes, graph has {g.node_count}")
     m = g.edge_count
     e_c = intra_edges(g, p)
     d_c = np.bincount(p.labels, weights=g.degrees.astype(np.float64), minlength=p.count)
-    return float((e_c / m).sum() - ((d_c / (2.0 * m)) ** 2).sum())
+    return float((e_c / m).sum() - resolution * ((d_c / (2.0 * m)) ** 2).sum())
 
 
-def _level_modularity(nbrs, loops, comm, total_weight, resolution) -> float:
-    count = max(comm) + 1
-    internal = [0.0] * count
-    tot = [0.0] * count
-    for v, row in enumerate(nbrs):
-        c = comm[v]
-        k_v = 2.0 * loops[v]
-        internal[c] += loops[v]
-        for u, w in row.items():
-            k_v += w
-            if comm[u] == c and u > v:
-                internal[c] += w
-        tot[c] += k_v
-    q = 0.0
-    for c in range(count):
-        q += internal[c] / total_weight - resolution * (tot[c] / (2.0 * total_weight)) ** 2
-    return q
-
-
-def _one_level(nbrs, loops, total_weight, resolution, rng) -> tuple[bool, list[int]]:
+def _one_level(indptr, adjacency, weights, loops, total_weight, resolution,
+               rng) -> tuple[bool, np.ndarray]:
     """Local moving phase; returns (any move happened, dense community labels)."""
-    n = len(nbrs)
-    k = [2.0 * loops[v] + sum(nbrs[v].values()) for v in range(n)]
+    n = indptr.size - 1
+    owner = np.repeat(np.arange(n), np.diff(indptr))
+    k = (2.0 * loops + np.bincount(owner, weights=weights, minlength=n)).tolist()
+    ptr, nbr, wt = indptr.tolist(), adjacency.tolist(), weights.tolist()
+    rows = [list(zip(nbr[ptr[v]:ptr[v + 1]], wt[ptr[v]:ptr[v + 1]])) for v in range(n)]
     comm = list(range(n))
     comm_tot = k.copy()
     order = list(range(n))
@@ -102,7 +87,7 @@ def _one_level(nbrs, loops, total_weight, resolution, rng) -> tuple[bool, list[i
             cv = comm[v]
             kv = k[v]
             weight_to: dict[int, float] = {}
-            for u, w in nbrs[v].items():
+            for u, w in rows[v]:
                 cu = comm[u]
                 weight_to[cu] = weight_to.get(cu, 0.0) + w
             comm_tot[cv] -= kv
@@ -124,29 +109,27 @@ def _one_level(nbrs, loops, total_weight, resolution, rng) -> tuple[bool, list[i
             break
         moved_any = True
 
-    remap: dict[int, int] = {}
-    dense = []
-    for c in comm:
-        if c not in remap:
-            remap[c] = len(remap)
-        dense.append(remap[c])
-    return moved_any, dense
+    # dense ids in order of first appearance
+    _, first, inverse = np.unique(comm, return_index=True, return_inverse=True)
+    remap = np.empty(first.size, dtype=np.int64)
+    remap[np.argsort(first)] = np.arange(first.size)
+    return moved_any, remap[inverse]
 
 
-def _aggregate(nbrs, loops, labels, count):
-    new_nbrs: list[dict[int, float]] = [{} for _ in range(count)]
-    new_loops = [0.0] * count
-    for v, row in enumerate(nbrs):
-        cv = labels[v]
-        new_loops[cv] += loops[v]
-        for u, w in row.items():
-            cu = labels[u]
-            if cu == cv:
-                if u > v:
-                    new_loops[cv] += w
-            else:
-                new_nbrs[cv][cu] = new_nbrs[cv].get(cu, 0.0) + w
-    return new_nbrs, new_loops
+def _aggregate(indptr, adjacency, weights, loops, labels):
+    """Collapse each community into one node: CSR rows sorted by neighbour, plus loops."""
+    count = int(labels.max()) + 1
+    cu = np.repeat(labels, np.diff(indptr))
+    cv = labels[adjacency]
+    intra = cu == cv
+    # every intra edge sits in both endpoints' rows, hence the halving
+    new_loops = (np.bincount(labels, weights=loops, minlength=count)
+                 + 0.5 * np.bincount(cu[intra], weights=weights[intra], minlength=count))
+    keys, inverse = np.unique(cu[~intra] * count + cv[~intra], return_inverse=True)
+    new_weights = np.bincount(inverse, weights=weights[~intra])
+    new_indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // count, minlength=count), out=new_indptr[1:])
+    return new_indptr, keys % count, new_weights, new_loops
 
 
 def louvain(g: Graph, seed: int, resolution: float = 1.0) -> Partition:
@@ -155,34 +138,31 @@ def louvain(g: Graph, seed: int, resolution: float = 1.0) -> Partition:
     Local moving visits nodes in a seed-shuffled order and accepts a move only
     when it improves modularity by more than 1e-12, breaking ties toward the
     lowest community id; the aggregated graph then replays the same procedure
-    until a phase moves nothing.  Output community ids are renumbered largest
+    until a phase moves nothing.  Each level is weighted CSR arrays, level 0
+    being the graph itself.  Output community ids are renumbered largest
     community first.  Deterministic for a fixed seed.
     """
     if g.node_count == 0:
         raise DataError("louvain needs a non-empty graph")
     rng = random.Random(seed)
     n = g.node_count
-    us, vs = g.edge_arrays()
-    nbrs: list[dict[int, float]] = [{} for _ in range(n)]
-    for u, v in zip(us.tolist(), vs.tolist()):
-        nbrs[u][v] = 1.0
-        nbrs[v][u] = 1.0
-    loops = [0.0] * n
+    # (indptr, adjacency, weights, loops)
+    level = (g.indptr, g.adjacency, np.ones(g.adjacency.size), np.zeros(n))
     total_weight = float(g.edge_count)
 
     node_to_comm = np.arange(n, dtype=np.int64)
-    q_prev = _level_modularity(nbrs, loops, list(range(len(nbrs))), total_weight, resolution)
+    # an aggregated level's modularity is that of the composed partition on g
+    q_prev = modularity(g, Partition.from_labels(node_to_comm), resolution)
     while True:
-        moved, labels = _one_level(nbrs, loops, total_weight, resolution, rng)
-        q_here = _level_modularity(nbrs, loops, labels, total_weight, resolution)
+        moved, labels = _one_level(*level, total_weight, resolution, rng)
+        q_here = modularity(g, Partition.from_labels(labels[node_to_comm]), resolution)
         if q_here < q_prev - 1e-12:
             raise ConvergenceError(f"modularity decreased across a phase: {q_prev} -> {q_here}")
         q_prev = q_here
         if not moved:
             break
-        label_arr = np.asarray(labels, dtype=np.int64)
-        node_to_comm = label_arr[node_to_comm]
-        nbrs, loops = _aggregate(nbrs, loops, labels, int(label_arr.max()) + 1)
+        node_to_comm = labels[node_to_comm]
+        level = _aggregate(*level, labels)
     return Partition(*relabel_by_size(node_to_comm))
 
 
@@ -266,9 +246,6 @@ class InducedGraph:
     intra_weights: dict[int, int]
     edges: tuple[tuple[int, int, int], ...]
     dropped_edges: int
-
-    def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges)
 
 
 def induced_graph(g: Graph, p: Partition, retained: Sequence[int],

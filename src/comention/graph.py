@@ -230,24 +230,9 @@ def read_edge_pairs(path) -> list[tuple[str, str]]:
     Names are normalized the same way article ingest normalizes them, so a
     round trip through disk reproduces the graph exactly.
     """
-    from .ingest import normalize_name
+    from .ingest import read_name_pairs
 
-    pairs: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["source", "target"]:
-            raise DataError(f"{path}: expected header 'source,target'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            a = normalize_name(row[0])
-            b = normalize_name(row[1])
-            if not a or not b:
-                raise DataError(f"{path}: line {lineno}: blank endpoint")
-            pairs.append((a, b))
+    pairs = [(a, b) for _, a, b in read_name_pairs(path, ("source", "target"))]
     if not pairs:
         raise DataError(f"{path}: no edges")
     return pairs

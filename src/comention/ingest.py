@@ -106,6 +106,29 @@ def load_articles(path) -> list[ArticleRecord]:
             raise DataError(f"{path}: {exc}") from exc
 
 
+def read_name_pairs(path, header: tuple[str, str]) -> Iterator[tuple[int, str, str]]:
+    """``(lineno, first, second)`` per row of a two-column CSV, names normalized.
+
+    The first row must be ``header`` (case-insensitive) and blank rows are
+    skipped; a wrong header, a short row or a blank field raises
+    :class:`DataError` naming the file and line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first[:2]] != list(header):
+            raise DataError(f"{path}: expected header '{','.join(header)}'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 2:
+                raise DataError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+            a, b = normalize_name(row[0]), normalize_name(row[1])
+            if not a or not b:
+                raise DataError(f"{path}: line {lineno}: blank {header[0] if not a else header[1]}")
+            yield lineno, a, b
+
+
 def load_aliases(path) -> dict[str, str]:
     """Load an alias,canonical CSV into a one-step rename map.
 
@@ -114,27 +137,14 @@ def load_aliases(path) -> dict[str, str]:
     map a name to itself are dropped with a warning.
     """
     aliases: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["alias", "canonical"]:
-            raise DataError(f"{path}: expected header 'alias,canonical'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns")
-            alias = normalize_name(row[0])
-            canonical = normalize_name(row[1])
-            if not alias or not canonical:
-                raise DataError(f"{path}: line {lineno}: blank name")
-            if alias == canonical:
-                logger.warning("%s: line %d: %r maps to itself, ignoring", path, lineno, alias)
-                continue
-            if alias in aliases and aliases[alias] != canonical:
-                raise DataError(f"{path}: line {lineno}: alias {alias!r} maps to both "
-                                f"{aliases[alias]!r} and {canonical!r}")
-            aliases[alias] = canonical
+    for lineno, alias, canonical in read_name_pairs(path, ("alias", "canonical")):
+        if alias == canonical:
+            logger.warning("%s: line %d: %r maps to itself, ignoring", path, lineno, alias)
+            continue
+        if alias in aliases and aliases[alias] != canonical:
+            raise DataError(f"{path}: line {lineno}: alias {alias!r} maps to both "
+                            f"{aliases[alias]!r} and {canonical!r}")
+        aliases[alias] = canonical
     for alias, canonical in aliases.items():
         if canonical in aliases:
             raise DataError(f"{path}: chained alias: {alias!r} -> {canonical!r} -> "

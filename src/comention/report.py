@@ -88,6 +88,9 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+_KINDS = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one full run needs; the seed is mandatory by design."""
@@ -112,17 +115,24 @@ class PipelineConfig:
     eigen_mixing: float = 1.0
 
     def validate(self) -> "PipelineConfig":
+        # types first, from the annotations: a float field takes an int, no
+        # number field takes a bool, and only "| None" fields take None
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if not isinstance(value, _KINDS[kind]) or (isinstance(value, bool) and kind != "bool"):
+                raise DataError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.input_format not in INPUT_FORMATS:
             raise DataError(f"input_format must be one of {INPUT_FORMATS}, "
                             f"got {self.input_format!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise DataError(f"seed must be an integer, got {self.seed!r}")
         for field in ("min_community_size", "dmin", "kmeans_k", "top_k_persons",
                       "top_k_members", "restarts", "eigen_max_iter"):
             value = getattr(self, field)
-            if not isinstance(value, int) or value < 1:
+            if value < 1:
                 raise DataError(f"{field} must be a positive integer, got {value!r}")
-        if self.threads is not None and (not isinstance(self.threads, int) or self.threads < 1):
+        if self.threads is not None and self.threads < 1:
             raise DataError(f"threads must be a positive integer, got {self.threads!r}")
         for field in ("resolution", "eigen_tol"):
             value = getattr(self, field)
@@ -287,19 +297,18 @@ def _shade(value: float, peak: float) -> str:
     return f"gray{level}"
 
 
-def export_dot(obj, path, bundle=None) -> None:
+def export_dot(obj, path) -> None:
     """Serialize a graph in DOT form.
 
     Induced graphs render with node width proportional to community size,
     grayscale fill darkening with mean betweenness, and edge penwidth
-    proportional to weight.  Plain graphs list bare nodes and edges; an
-    optional centrality bundle adds the same betweenness shading per person.
+    proportional to weight.  Plain graphs list bare nodes and edges.
     Output ordering is fixed, so bytes are identical across runs.
     """
     if isinstance(obj, InducedGraph):
         _induced_to_dot(obj, path)
     elif isinstance(obj, Graph):
-        _graph_to_dot(obj, path, bundle)
+        _graph_to_dot(obj, path)
     else:
         raise DataError(f"cannot export {type(obj).__name__} as DOT")
 
@@ -328,17 +337,9 @@ def _induced_to_dot(ig: InducedGraph, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _graph_to_dot(g: Graph, path, bundle) -> None:
+def _graph_to_dot(g: Graph, path) -> None:
     lines = ["graph G {"]
-    if bundle is not None:
-        lines.append("  node [style=filled];")
-        peak = float(bundle.betweenness.max()) if g.node_count else 0.0
-        for v, name in enumerate(g.names):
-            lines.append(f"  {_dot_quote(name)} "
-                         f"[fillcolor={_shade(float(bundle.betweenness[v]), peak)}];")
-    else:
-        for name in g.names:
-            lines.append(f"  {_dot_quote(name)};")
+    lines.extend(f"  {_dot_quote(name)};" for name in g.names)
     for a, b in g.edges():
         lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
     lines.append("}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -10,7 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .ingest import normalize_name
+from .ingest import read_name_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -34,27 +33,15 @@ def load_affiliations(path) -> dict[str, str]:
     place of underscores.  A name listed twice must agree with itself.
     """
     table: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["name", "category"]:
-            raise DataError(f"{path}: expected header 'name,category'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns")
-            name = normalize_name(row[0])
-            if not name:
-                raise DataError(f"{path}: line {lineno}: blank name")
-            try:
-                category = canonical_category(row[1])
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            if name in table and table[name] != category:
-                raise DataError(f"{path}: line {lineno}: {name!r} listed as both "
-                                f"{table[name]!r} and {category!r}")
-            table[name] = category
+    for lineno, name, raw in read_name_pairs(path, ("name", "category")):
+        try:
+            category = canonical_category(raw)
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        if name in table and table[name] != category:
+            raise DataError(f"{path}: line {lineno}: {name!r} listed as both "
+                            f"{table[name]!r} and {category!r}")
+        table[name] = category
     if not table:
         raise DataError(f"{path}: no usable rows")
     return table
@@ -71,7 +58,6 @@ class CommunityProfile:
     community: int
     counts: np.ndarray
     unlabeled: int
-    unlabeled_names: tuple[str, ...] = ()
 
 
 def build_profiles(top_members: Mapping[int, Sequence[str]],
@@ -97,8 +83,7 @@ def build_profiles(top_members: Mapping[int, Sequence[str]],
             logger.warning("community %d: %d top member(s) missing from the affiliation "
                            "table: %s", community, len(missing), ", ".join(missing))
         profiles.append(CommunityProfile(community=int(community), counts=counts,
-                                         unlabeled=len(missing),
-                                         unlabeled_names=tuple(missing)))
+                                         unlabeled=len(missing)))
     return profiles
 
 

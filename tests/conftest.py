@@ -184,7 +184,7 @@ def clustering_oracle(n, pairs):
     return out
 
 
-def modularity_oracle(n, pairs, labels):
+def modularity_oracle(n, pairs, labels, resolution=1.0):
     """Definition sum with explicit python loops."""
     m = len(pairs)
     communities = set(labels)
@@ -196,7 +196,7 @@ def modularity_oracle(n, pairs, labels):
     for c in communities:
         e_c = sum(1 for u, v in pairs if labels[u] == c and labels[v] == c)
         d_c = sum(degree[v] for v in range(n) if labels[v] == c)
-        q += e_c / m - (d_c / (2.0 * m)) ** 2
+        q += e_c / m - resolution * (d_c / (2.0 * m)) ** 2
     return q
 
 

@@ -363,6 +363,25 @@ class TestOptionValidation:
         assert option.replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("resolution", "1"), ("eigen_tol", "1e-10"), ("eigen_mixing", "1"),
+        ("input", 5), ("out_dir", 5), ("aliases", 5), ("affiliations", ["a.csv"]),
+        ("include_other", "no"), ("min_community_size", True), ("threads", True),
+    ])
+    def test_wrong_type_in_config_is_data_error(self, tmp_path, articles, capsys,
+                                                 field, value):
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(articles), "seed": 5, "out_dir": str(out),
+                                      "min_community_size": 2, field: value}),
+                          encoding="utf-8")
+        rc = run_cli("run", "--config", config)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {field} must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestErrorChannels:
     def test_unknown_subcommand_usage_error(self):
@@ -490,7 +509,7 @@ class TestNumericalFailures:
     def test_louvain_modularity_decrease_exits_3(self, tmp_path, articles, capsys,
                                                   monkeypatch):
         values = iter([0.5, 0.1])
-        monkeypatch.setattr(community, "_level_modularity", lambda *a: next(values))
+        monkeypatch.setattr(community, "modularity", lambda *a: next(values))
         rc = run_cli("communities", "--input", articles, "--out-dir", tmp_path / "out",
                      "--seed", "5", "--min-community-size", "2")
         assert rc == 3

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from comention import (
     modularity,
     top_members,
 )
-from comention.synth import planted_partition
+from comention.ingest import clique_expand
+from comention.synth import benchmark_graph, generate_corpus, planted_partition
 
 
 def two_cliques(size=5, bridges=1):
@@ -148,6 +151,29 @@ class TestLouvain:
         assert list(p.sizes) == sorted(p.sizes, reverse=True)
 
 
+class TestLouvainGolden:
+    """Exact partitions at 1/8 of the canonical sizes; any change to local
+    moving, tie breaking or aggregation moves these digests."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return {"bench-graph": build_graph(benchmark_graph(1390, 4693, seed=11)),
+                "corpus": build_graph(clique_expand(generate_corpus(650, 1312, seed=7)))}
+
+    @pytest.mark.parametrize("name,seed,resolution,count,digest", [
+        ("bench-graph", 9, 1.0, 15,
+         "9e37e772fb5234604ca90fa868d83f791a5cbd8129b25ba7b1dd73b1f0da29cf"),
+        ("corpus", 3, 1.0, 25,
+         "73e1cbe174bcaa19ef971e7d7db8dcc73513d6d5cb580c7d4e466e9e5f5db9a6"),
+        ("corpus", 3, 0.5, 14,
+         "728c649b1d5ba795b8ea571b01cf780e0f93c622eff1873edf03651edf18d8d7"),
+    ])
+    def test_labels_digest(self, graphs, name, seed, resolution, count, digest):
+        p = louvain(graphs[name], seed=seed, resolution=resolution)
+        assert p.count == count
+        assert hashlib.sha256(p.labels.tobytes()).hexdigest() == digest
+
+
 class TestModularity:
     def test_all_in_one_is_zero(self):
         rng = np.random.default_rng(151)
@@ -179,6 +205,18 @@ class TestModularity:
                 g.node_count, id_pairs(g), dense.tolist()
             )
             assert modularity(g, p) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("resolution", [0.3, 0.5, 1.0, 2.0])
+    def test_resolution_matches_oracle(self, resolution):
+        rng = np.random.default_rng(163)
+        for _ in range(10):
+            g = graph_from(random_pairs(rng, p=0.4))
+            raw = rng.integers(0, 3, size=g.node_count)
+            _, dense = np.unique(raw, return_inverse=True)
+            for p in (Partition.from_labels(dense), louvain(g, seed=5, resolution=resolution)):
+                want = modularity_oracle(g.node_count, id_pairs(g), p.labels.tolist(), resolution)
+                assert modularity(g, p, resolution) == pytest.approx(want, abs=1e-12)
+            assert modularity(g, p, 1.0) == modularity(g, p)
 
     def test_partition_validation(self):
         with pytest.raises(DataError):

@@ -16,6 +16,9 @@ from comention import (
     normalize_name,
     parse_articles,
 )
+from comention.graph import read_edge_pairs
+from comention.ingest import read_name_pairs
+from comention.typology import load_affiliations
 
 
 def record(*persons, id="a1", **kw):
@@ -154,6 +157,31 @@ class TestAliases:
         f.write_text("alias,canonical\nA,B\nB,C\n")
         with pytest.raises(DataError):
             load_aliases(f)
+
+
+class TestReadNamePairs:
+    """One reader behind the edge, alias and affiliation CSVs."""
+
+    LOADERS = [(read_edge_pairs, "source,target"), (load_aliases, "alias,canonical"),
+               (load_affiliations, "name,category")]
+
+    def test_rows_normalized_blank_rows_skipped(self, tmp_path):
+        f = tmp_path / "pairs.csv"
+        f.write_text("Alias , CANONICAL\n\n  Ivanov   I. ,Petrov P.,extra\nB,C\n")
+        assert list(read_name_pairs(f, ("alias", "canonical"))) == [
+            (3, "Ivanov I.", "Petrov P."), (4, "B", "C")]
+
+    @pytest.mark.parametrize("loader,header", LOADERS)
+    @pytest.mark.parametrize("body,message", [
+        (None, "expected header"),
+        ("A\n", "line 2: expected 2 columns, got 1"),
+        ("\nA, \n", "line 3: blank "),
+    ])
+    def test_same_errors_for_every_table(self, tmp_path, loader, header, body, message):
+        f = tmp_path / "pairs.csv"
+        f.write_text("wrong,header\nA,B\n" if body is None else f"{header}\n{body}")
+        with pytest.raises(DataError, match=message):
+            loader(f)
 
 
 class TestCliqueExpand:

@@ -59,6 +59,11 @@ class TestLoadAffiliations:
             "Petrov P.": "law_enforcement",
         }
 
+    def test_category_whitespace_normalized(self, tmp_path):
+        f = tmp_path / "aff.csv"
+        f.write_text("name,category\nA, law  enforcement \n")
+        assert load_affiliations(f) == {"A": "law_enforcement"}
+
     def test_conflicting_duplicate_rejected(self, tmp_path):
         f = tmp_path / "aff.csv"
         f.write_text("name,category\nA,business\nA,press\n")
