@@ -14,6 +14,7 @@ import sys
 from . import report
 from .errors import ConvergenceError, DataError
 from .graph import density, diameter as graph_diameter
+from .ingest import open_text
 from .powerlaw import fit_mle
 
 logger = logging.getLogger(__name__)
@@ -113,7 +114,7 @@ def cmd_typology(args) -> int:
 def cmd_run(args, parser: Parser) -> int:
     mapping: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open_text(args.config) as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -254,10 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -185,6 +185,11 @@ def label_communities(g: Graph, p: Partition, bundle: CentralityBundle) -> dict[
             for c in range(p.count)}
 
 
+def _means(labels: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-label mean of ``values``: the one formula behind every community mean."""
+    return np.bincount(labels, weights=values, minlength=sizes.size) / sizes
+
+
 @dataclass(frozen=True)
 class CommunitySummary:
     """Per-community mean scores plus size and internal density."""
@@ -208,10 +213,8 @@ def community_summary(g: Graph, p: Partition, bundle: CentralityBundle,
     """
     labels = label_communities(g, p, bundle)
     sizes = np.asarray(p.sizes, dtype=np.float64)
-    mean_b = np.bincount(p.labels, weights=bundle.betweenness, minlength=p.count) / sizes
-    mean_c = np.bincount(p.labels, weights=bundle.closeness, minlength=p.count) / sizes
-    mean_e = np.bincount(p.labels, weights=bundle.eigenvector, minlength=p.count) / sizes
-    mean_cc = np.bincount(p.labels, weights=bundle.clustering, minlength=p.count) / sizes
+    mean_b, mean_c, mean_e, mean_cc = (_means(p.labels, x, sizes) for x in (
+        bundle.betweenness, bundle.closeness, bundle.eigenvector, bundle.clustering))
     intra = intra_edges(g, p)
 
     out = []
@@ -249,76 +252,44 @@ class InducedGraph:
 
 
 def induced_graph(g: Graph, p: Partition, retained: Sequence[int],
-                  bundle: CentralityBundle | None = None,
-                  include_other: bool = False) -> InducedGraph:
+                  bundle: CentralityBundle, include_other: bool = False) -> InducedGraph:
     """Collapse the partition into a weighted community network.
 
-    Every original edge lands in exactly one bucket: intra weight of a
-    retained community, weight of an induced edge, intra weight of ``OTHER``
-    (when ``include_other``), or the dropped count.
+    One Louvain aggregation step over slots: each retained community is a
+    slot, and all other nodes share a rest slot, kept as ``OTHER`` when
+    ``include_other`` and otherwise dropped with its edges.  Every edge counts
+    once: as a kept slot's intra weight, as an induced edge's weight (edges in
+    retained order, ``OTHER`` last), or as dropped.  Unit weights keep every
+    sum exact; an empty rest slot's size is taken as 1 to avoid 0/0.
     """
     retained = [int(c) for c in retained]
-    retained_set = set(retained)
-    if len(retained_set) != len(retained):
+    if len(set(retained)) != len(retained):
         raise DataError("retained community ids must be unique")
     for c in retained:
         if not 0 <= c < p.count:
             raise DataError(f"unknown community id {c}")
-
-    # map each node's community onto retained ids or OTHER
-    fold = np.full(p.count, OTHER, dtype=np.int64)
-    for c in retained:
-        fold[c] = c
-    node_comm = fold[p.labels]
-
-    us, vs = g.edge_arrays()
-    cu = node_comm[us]
-    cv = node_comm[vs]
-
-    ids = list(retained)
-    other_members = int((node_comm == OTHER).sum())
-    has_other = include_other and other_members > 0
-    if has_other:
-        ids.append(OTHER)
-
-    position = {c: i for i, c in enumerate(ids)}
-    intra_weights: dict[int, int] = {c: 0 for c in ids}
-    weight_at: dict[tuple[int, int], int] = {}
-    dropped = 0
-    for a, b in zip(cu.tolist(), cv.tolist()):
-        a_in = a in position
-        b_in = b in position
-        if not (a_in and b_in):
-            dropped += 1
-            continue
-        if a == b:
-            intra_weights[a] += 1
-            continue
-        if position[a] > position[b]:
-            a, b = b, a
-        weight_at[(a, b)] = weight_at.get((a, b), 0) + 1
-
-    labels = {c: "" for c in ids}
-    sizes = {c: p.sizes[c] for c in retained}
-    means = {c: 0.0 for c in ids}
-    if bundle is not None:
-        named = label_communities(g, p, bundle)
-        for c in retained:
-            labels[c] = named[c]
-            members = p.members(c)
-            means[c] = float(bundle.betweenness[members].mean())
-    if has_other:
-        labels[OTHER] = "other"
-        sizes[OTHER] = other_members
-        if bundle is not None:
-            outside = np.flatnonzero(node_comm == OTHER)
-            means[OTHER] = float(bundle.betweenness[outside].mean())
-
-    edges = sorted(((a, b, w) for (a, b), w in weight_at.items()),
-                   key=lambda e: (position[e[0]], position[e[1]]))
+    rest = len(retained)
+    fold = np.full(p.count, rest, dtype=np.int64)
+    fold[retained] = np.arange(rest)
+    slot = fold[p.labels]
+    sizes = np.bincount(slot, minlength=rest + 1)
+    ids = retained + ([OTHER] if include_other and sizes[rest] else [])
+    indptr, heads, weights, loops = _aggregate(
+        g.indptr, g.adjacency, np.ones(g.adjacency.size), np.zeros(g.node_count), slot)
+    tails = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    inter = (tails < heads) & (heads < len(ids))
+    edges = tuple((ids[a], ids[b], int(w)) for a, b, w in zip(
+        tails[inter].tolist(), heads[inter].tolist(), weights[inter].tolist()))
+    intra = [int(w) for w in loops[:len(ids)]]
+    means = _means(slot, bundle.betweenness, np.maximum(sizes, 1))
+    named = label_communities(g, p, bundle)
     return InducedGraph(
-        community_ids=tuple(ids), labels=labels, sizes=sizes, mean_betweenness=means,
-        intra_weights=intra_weights, edges=tuple(edges), dropped_edges=dropped)
+        community_ids=tuple(ids),
+        labels={c: "other" if c == OTHER else named[c] for c in ids},
+        sizes={c: int(sizes[i]) for i, c in enumerate(ids)},
+        mean_betweenness={c: float(means[i]) for i, c in enumerate(ids)},
+        intra_weights=dict(zip(ids, intra)), edges=edges,
+        dropped_edges=g.edge_count - sum(intra) - sum(w for _, _, w in edges))
 
 
 def top_members(g: Graph, p: Partition, bundle: CentralityBundle,

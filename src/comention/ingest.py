@@ -8,6 +8,7 @@ import json
 import logging
 import re
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import date as _date
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -98,8 +99,18 @@ def parse_articles(lines: Iterable[str]) -> list[ArticleRecord]:
     return records
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 raises DataError naming it."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def load_articles(path) -> list[ArticleRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return parse_articles(fh)
         except DataError as exc:
@@ -113,7 +124,7 @@ def read_name_pairs(path, header: tuple[str, str]) -> Iterator[tuple[int, str, s
     skipped; a wrong header, a short row or a blank field raises
     :class:`DataError` naming the file and line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or [h.strip().lower() for h in first[:2]] != list(header):

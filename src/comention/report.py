@@ -53,6 +53,10 @@ F_PROFILES = "profiles.csv"
 F_TYPOLOGY = "typology.csv"
 F_COMMUNITY_TYPES = "community_types.csv"
 F_MANIFEST = "manifest.json"
+# what every run writes; article input adds F_INGEST and typology its three files
+RUN_FILES = (F_EDGES, F_SUMMARY, F_CENTRALITY, F_TOP10, F_PARTITION, F_COMMUNITIES,
+             F_TOP_MEMBERS, F_INDUCED_GRAPHML, F_INDUCED_DOT, F_INDUCED_JSON,
+             F_DEGREE_DIST, F_POWERLAW_FIT, F_POWERLAW, F_GRAPHML)
 
 MARK = "†"  # appended to names appearing in more than one leaderboard
 
@@ -318,19 +322,17 @@ def _induced_to_dot(ig: InducedGraph, path) -> None:
     peak_s = max((ig.sizes[c] for c in ig.community_ids), default=1)
     peak_w = max((w for _, _, w in ig.edges), default=1)
 
-    def display(c) -> str:
-        return _dot_quote(ig.labels[c] or f"community {c}")
-
+    display = {c: _dot_quote(ig.labels[c]) for c in ig.community_ids}
     lines = ["graph induced {",
              "  node [shape=circle, style=filled, fixedsize=true, fontcolor=black];"]
     for c in ig.community_ids:
         width = 0.4 + 2.0 * ig.sizes[c] / peak_s
         shade = _shade(ig.mean_betweenness[c], peak_b)
-        lines.append(f"  {display(c)} [width={width:.3f}, fillcolor={shade}, "
+        lines.append(f"  {display[c]} [width={width:.3f}, fillcolor={shade}, "
                      f"tooltip=\"size={ig.sizes[c]}\"];")
     for a, b, w in ig.edges:
         pen = 0.5 + 4.5 * w / peak_w
-        lines.append(f"  {display(a)} -- {display(b)} "
+        lines.append(f"  {display[a]} -- {display[b]} "
                      f"[penwidth={pen:.3f}, label=\"{w}\"];")
     lines.append("}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -648,7 +650,7 @@ def _close(a, b, tol=1e-9) -> bool:
 
 
 # Errors that mean a check's inputs are missing, malformed or inconsistent.
-_UNCOMPUTABLE = (OSError, DataError, KeyError, ValueError, TypeError)
+_UNCOMPUTABLE = (OSError, DataError, KeyError, ValueError, TypeError, AttributeError)
 
 
 def audit(out_dir) -> list[AuditCheck]:
@@ -675,11 +677,11 @@ def audit(out_dir) -> list[AuditCheck]:
                                      f"cannot be computed: {type(exc).__name__}: {exc}"))
             return None
 
-    manifest = attempt("manifest", lambda: _read_json(manifest_path))
+    manifest = attempt("manifest", lambda: _read_manifest(manifest_path))
     if manifest is None:
         return checks
     attempt("digests", lambda: _audit_digests(out, manifest, checks))
-    summary = attempt("summary", lambda: _read_json(out / F_SUMMARY))
+    summary = attempt("summary", lambda: _json_object(_read_json(out / F_SUMMARY), F_SUMMARY))
     g = attempt("edges", lambda: read_edge_csv(out / F_EDGES))
     if summary is None or g is None:
         return checks
@@ -690,11 +692,10 @@ def audit(out_dir) -> list[AuditCheck]:
                         lambda: _audit_partition(out, g, summary, config, checks))
     by_name = attempt("centrality", lambda: _audit_centrality(out, g, summary, checks))
     attempt("degree_dist", lambda: _audit_degree_dist(out, g, summary, config, checks))
-    if partition is not None and by_name is not None and (out / F_COMMUNITIES).exists():
+    if partition is not None and by_name is not None:
         attempt("community_means", lambda: checks.append(
             _audit_community_means(out, g, partition, by_name)))
-    if (out / F_INDUCED_JSON).exists():
-        attempt("induced_conservation", lambda: _audit_induced(out, g, checks))
+    attempt("induced_conservation", lambda: _audit_induced(out, g, checks))
     return checks
 
 
@@ -703,18 +704,36 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _read_manifest(path) -> dict:
+    manifest = _json_object(_read_json(path), F_MANIFEST)
+    for key in ("config", "files"):
+        _json_object(manifest.get(key, {}), f"{F_MANIFEST} {key!r}")
+    return manifest
+
+
 def _audit_digests(out: Path, manifest: dict, checks: list[AuditCheck]) -> None:
+    """Every listed file matches its digest, and every file the run wrote is listed."""
     files = manifest.get("files", {})
-    broken = 0
+    written = set(RUN_FILES)
+    if manifest.get("config", {}).get("input_format", "articles") == "articles":
+        written.add(F_INGEST)
+    if "typology" not in dict(manifest.get("skipped", [])):
+        written.update((F_PROFILES, F_TYPOLOGY, F_COMMUNITY_TYPES))
+    problems = [(name, "not listed in manifest") for name in sorted(written - set(files))]
     for name, expected in files.items():
         path = out / name
         if not path.exists():
-            checks.append(AuditCheck(f"file:{name}", False, "missing"))
-            broken += 1
+            problems.append((name, "missing"))
         elif sha256_file(path) != expected:
-            checks.append(AuditCheck(f"file:{name}", False, "digest mismatch"))
-            broken += 1
-    if not broken:
+            problems.append((name, "digest mismatch"))
+    checks.extend(AuditCheck(f"file:{name}", False, why) for name, why in problems)
+    if not problems:
         checks.append(AuditCheck("digests", True, f"{len(files)} files match"))
 
 

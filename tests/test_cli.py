@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -37,6 +38,41 @@ def edges_csv(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+# every file a corpus run with an affiliation table lists in manifest.json
+MANIFEST_FILES = (
+    "edges.csv", "ingest_stats.json", "summary.json", "centrality.csv", "top10.csv",
+    "partition.csv", "communities.csv", "top_members.csv", "induced.graphml",
+    "induced.dot", "induced.json", "degree_dist.csv", "powerlaw_fit.csv",
+    "powerlaw.json", "graph.graphml", "profiles.csv", "typology.csv",
+    "community_types.csv",
+)
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """Output directory of one corpus run with affiliations; copy before tampering."""
+    root = tmp_path_factory.mktemp("clean")
+    articles, aff = root / "articles.jsonl", root / "affiliations.csv"
+    articles.write_text(ARTICLES, encoding="utf-8")
+    aff.write_text(AFFILIATIONS, encoding="utf-8")
+    assert run_cli("run", "--input", articles, "--affiliations", aff, "--k", "2",
+                   "--out-dir", root / "out", "--seed", "5",
+                   "--min-community-size", "2") == 0
+    return root / "out"
+
+
+def audit_copy(clean_run, tmp_path, tamper, capsys):
+    """Audit a tampered copy of ``clean_run``; returns (exit code, FAIL lines, stderr)."""
+    out = tmp_path / "out"
+    shutil.copytree(clean_run, out)
+    tamper(out)
+    capsys.readouterr()
+    rc = run_cli("audit", "--out-dir", out)
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    return rc, failed, captured.err
 
 
 class TestIngest:
@@ -324,6 +360,72 @@ class TestAuditCommand:
         # beyond the digest mismatch, a content check must fail
         assert any("file:" not in line for line in failed), failed
 
+    @pytest.mark.parametrize("filename", MANIFEST_FILES)
+    @pytest.mark.parametrize("tamper", ["delete", "truncate", "unlist-and-corrupt"])
+    def test_every_manifest_file_is_tamper_checked(self, tmp_path, clean_run, capsys,
+                                                   filename, tamper):
+        manifest = json.loads((clean_run / "manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest["files"]) == set(MANIFEST_FILES)
+
+        def damage(out):
+            path = out / filename
+            data = path.read_bytes()
+            if tamper == "delete":
+                path.unlink()
+            elif tamper == "truncate":
+                path.write_bytes(data[: len(data) // 2])
+            else:
+                del manifest["files"][filename]
+                (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+                path.write_bytes(data + b"tampered\n")
+
+        rc, failed, err = audit_copy(clean_run, tmp_path, damage, capsys)
+        assert rc == 2
+        assert any(f"file:{filename}" in line for line in failed), failed
+        assert "Traceback" not in err
+
+    def test_manifest_listing_no_files_fails(self, tmp_path, clean_run, capsys):
+        def damage(out):
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            manifest["files"] = {}
+            (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            with open(out / "centrality.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            with open(out / "centrality.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows({**row, "betweenness": "0.5", "eigenvector": "0.5"}
+                                 for row in rows)
+            (out / "communities.csv").unlink()
+            (out / "induced.json").unlink()
+
+        rc, failed, _ = audit_copy(clean_run, tmp_path, damage, capsys)
+        assert rc == 2
+        names = {line.split()[1].rstrip(":") for line in failed}
+        assert {f"file:{name}" for name in MANIFEST_FILES} <= names
+        assert {"community_means", "induced_conservation"} <= names
+
+    @pytest.mark.parametrize("filename,key,value", [
+        pytest.param("manifest.json", None, [], id="manifest=[]"),
+        pytest.param("manifest.json", "files", [], id="files=[]"),
+        pytest.param("manifest.json", "config", [], id="config=[]"),
+        pytest.param("summary.json", None, [1, 2], id="summary=[1,2]"),
+    ])
+    def test_json_of_wrong_shape_fails(self, tmp_path, clean_run, capsys,
+                                       filename, key, value):
+        def damage(out):
+            doc = json.loads((out / filename).read_text(encoding="utf-8"))
+            if key is None:
+                doc = value
+            else:
+                doc[key] = value
+            (out / filename).write_text(json.dumps(doc), encoding="utf-8")
+
+        rc, failed, err = audit_copy(clean_run, tmp_path, damage, capsys)
+        assert rc == 2
+        assert any("must be a JSON object" in line for line in failed), failed
+        assert "Traceback" not in err
+
 
 class TestOptionValidation:
     @pytest.mark.parametrize("command",
@@ -405,6 +507,31 @@ class TestErrorChannels:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    @pytest.mark.parametrize("kind", ["articles", "edges", "aliases", "affiliations",
+                                      "config"])
+    def test_non_utf8_input_is_data_error(self, tmp_path, articles, capsys, kind):
+        bad = tmp_path / f"bad-{kind}"
+        out = tmp_path / "out"
+        text = {"articles": ARTICLES, "edges": "source,target\nA,B\n",
+                "aliases": "alias,canonical\nL1,L0\n", "affiliations": AFFILIATIONS,
+                "config": json.dumps({"input": str(articles), "seed": 5,
+                                      "out_dir": str(out)})}[kind]
+        bad.write_bytes(text.encode("utf-8") + b"\xff\n")
+        argv = {
+            "articles": ["stats", "--input", bad],
+            "edges": ["stats", "--input", bad, "--input-format", "edges"],
+            "aliases": ["ingest", "--input", articles, "--aliases", bad, "--out-dir", out],
+            "affiliations": ["typology", "--input", articles, "--affiliations", bad,
+                             "--k", "2", "--seed", "5", "--min-community-size", "2",
+                             "--out-dir", out],
+            "config": ["run", "--config", bad],
+        }[kind]
+        rc = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {bad}: not UTF-8 text" in err
+        assert "Traceback" not in err
 
 
 class TestStageParity:

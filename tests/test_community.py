@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ class TestInducedGraph:
         g = two_cliques(5, bridges=3)
         labels = [0 if n.startswith("L") else 1 for n in g.names]
         p = Partition.from_labels(labels)
-        ind = induced_graph(g, p, [0, 1])
+        ind = induced_graph(g, p, [0, 1], compute_bundle(g))
         assert ind.edges == ((0, 1, 3),)
         assert ind.intra_weights == {0: 10, 1: 10}
         assert ind.dropped_edges == 0
@@ -390,41 +391,58 @@ class TestInducedGraph:
     def test_no_cross_edges(self):
         g = build_graph([("A", "B"), ("X", "Y")])
         p = Partition.from_labels([0, 0, 1, 1])
-        ind = induced_graph(g, p, [0, 1])
+        ind = induced_graph(g, p, [0, 1], compute_bundle(g))
         assert ind.edges == ()
 
     def test_weights_match_pairwise_oracle_and_conservation(self):
         rng = np.random.default_rng(181)
+        with_other = 0
         for _ in range(15):
             g = graph_from(random_pairs(rng, n_max=9, p=0.5))
             p = louvain(g, seed=19)
+            bundle = compute_bundle(g)
             retained = filter_communities(p, min_size=2) if max(
                 p.sizes
             ) >= 2 else filter_communities(p, min_size=1)
-            ind = induced_graph(g, p, retained)
-            keep = set(retained)
-            want = {}
-            intra = dict.fromkeys(retained, 0)
-            dropped = 0
-            for u, v in id_pairs(g):
-                cu, cv = int(p.labels[u]), int(p.labels[v])
-                if cu == cv and cu in keep:
-                    intra[cu] += 1
-                elif cu in keep and cv in keep:
-                    key = frozenset((cu, cv))
-                    want[key] = want.get(key, 0) + 1
-                else:
-                    dropped += 1
-            got = {frozenset((u, v)): w for u, v, w in ind.edges}
-            assert got == want
-            assert ind.intra_weights == intra
-            assert ind.dropped_edges == dropped
-            total = (
-                sum(w for _, _, w in ind.edges)
-                + sum(ind.intra_weights.values())
-                + ind.dropped_edges
-            )
-            assert total == g.edge_count
+            # the largest community alone leaves a rest whenever there are two
+            for kept, include_other in itertools.product((retained, retained[:1]),
+                                                         (False, True)):
+                ind = induced_graph(g, p, kept, bundle, include_other=include_other)
+                keep = set(kept)
+                slot = [int(c) if int(c) in keep else OTHER for c in p.labels]
+                if include_other and OTHER in slot:
+                    keep.add(OTHER)
+                    with_other += 1
+                want = {}
+                intra = dict.fromkeys(keep, 0)
+                dropped = 0
+                for u, v in id_pairs(g):
+                    cu, cv = slot[u], slot[v]
+                    if cu == cv and cu in keep:
+                        intra[cu] += 1
+                    elif cu in keep and cv in keep:
+                        key = frozenset((cu, cv))
+                        want[key] = want.get(key, 0) + 1
+                    else:
+                        dropped += 1
+                got = {frozenset((u, v)): w for u, v, w in ind.edges}
+                assert got == want
+                assert ind.intra_weights == intra
+                assert ind.dropped_edges == dropped
+                assert set(ind.sizes) == set(ind.mean_betweenness) == keep
+                for c in keep:
+                    members = [v for v in range(g.node_count) if slot[v] == c]
+                    assert ind.sizes[c] == len(members)
+                    want_mean = sum(bundle.betweenness[v] for v in members) / len(members)
+                    assert ind.mean_betweenness[c] == pytest.approx(
+                        want_mean, rel=1e-12, abs=0)
+                total = (
+                    sum(w for _, _, w in ind.edges)
+                    + sum(ind.intra_weights.values())
+                    + ind.dropped_edges
+                )
+                assert total == g.edge_count
+        assert with_other > 0
 
     def test_other_pseudo_node(self):
         g = build_graph(
@@ -433,7 +451,7 @@ class TestInducedGraph:
         p = Partition.from_labels(
             [0, 0, 0, 1, 1][: g.node_count]
         )
-        ind = induced_graph(g, p, [0], include_other=True)
+        ind = induced_graph(g, p, [0], compute_bundle(g), include_other=True)
         assert OTHER in ind.sizes
         got = {frozenset((u, v)): w for u, v, w in ind.edges}
         assert got == {frozenset((0, OTHER)): 1}
@@ -450,7 +468,7 @@ class TestInducedGraph:
         rng = np.random.default_rng(191)
         g = graph_from(random_pairs(rng, p=0.5))
         p = louvain(g, seed=23)
-        ind = induced_graph(g, p, filter_communities(p, min_size=1))
+        ind = induced_graph(g, p, filter_communities(p, min_size=1), compute_bundle(g))
         assert all(u != v for u, v, _ in ind.edges)
 
 

@@ -27,6 +27,7 @@ from comention import (
 )
 from comention.report import (
     F_CENTRALITY,
+    F_COMMUNITIES,
     F_COMMUNITY_TYPES,
     F_DEGREE_DIST,
     F_EDGES,
@@ -43,6 +44,7 @@ from comention.report import (
     write_centrality_files,
     write_induced_files,
 )
+from comention.synth import generate_corpus, write_articles_jsonl
 
 CLIQUE_ARTICLES = [
     {"id": "left", "persons": [f"L{i}" for i in range(5)]},
@@ -236,6 +238,21 @@ class TestRunPipeline:
         m1 = (tmp_path / "out1" / F_MANIFEST).read_bytes()
         m2 = (tmp_path / "out2" / F_MANIFEST).read_bytes()
         assert m1 == m2
+
+    def test_induced_means_are_communities_column_b(self, tmp_path):
+        articles = tmp_path / "articles.jsonl"
+        write_articles_jsonl(generate_corpus(n_articles=120, n_persons=240, seed=3), articles)
+        bundle = run_pipeline(PipelineConfig(
+            input=str(articles), seed=3, out_dir=str(tmp_path / "out"),
+            min_community_size=5, include_other=True))
+        assert bundle.summary["retained_count"] > 3
+        out = tmp_path / "out"
+        with open(out / F_COMMUNITIES, newline="", encoding="utf-8") as fh:
+            column_b = {row["label"]: float(row["B"]) for row in csv.DictReader(fh)}
+        induced = json.loads((out / F_INDUCED_JSON).read_text(encoding="utf-8"))
+        means = {c["label"]: c["mean_betweenness"] for c in induced["communities"]
+                 if c["community"] >= 0}
+        assert means == column_b
 
     def test_unreadable_input_is_data_error(self, tmp_path):
         cfg = PipelineConfig(
