@@ -49,9 +49,10 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def cmd_ingest(args) -> int:
+def cmd_write(args) -> int:
+    """Run one report writer, looked up at call time so wrappers installed later see it."""
     run = _run(args)
-    written = report.write_ingest_files(run)
+    written = getattr(report, args.writer)(run)
     logger.info("wrote %s", ", ".join(str(run.out / name) for name in written))
     return 0
 
@@ -74,11 +75,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_centrality(args) -> int:
-    report.write_centrality_files(_run(args))
-    return 0
-
-
 def cmd_communities(args) -> int:
     run = _run(args)
     payload = {"community_count": run.partition.count, "retained_count": len(run.retained),
@@ -86,11 +82,6 @@ def cmd_communities(args) -> int:
     report.write_partition_files(run)
     report.write_community_files(run)
     _print_json(payload)
-    return 0
-
-
-def cmd_induced(args) -> int:
-    report.write_induced_files(_run(args))
     return 0
 
 
@@ -103,11 +94,6 @@ def cmd_fit_powerlaw(args) -> int:
         report.write_powerlaw_files(run)
     else:
         _print_json(dataclasses.asdict(fit))
-    return 0
-
-
-def cmd_typology(args) -> int:
-    report.write_typology_files(_run(args))
     return 0
 
 
@@ -147,104 +133,84 @@ def cmd_audit(args) -> int:
     return 0
 
 
+# One help text per PipelineConfig field.  Its flag is the field name with
+# dashes; argparse converts a value to the field's annotated type (a bool
+# field is a switch), and PipelineConfig.validate alone checks it.
+HELP = {
+    "input": "input file: articles JSONL, or source,target CSV with --input-format edges",
+    "input_format": f"input file format, one of {report.INPUT_FORMATS}",
+    "aliases": "alias,canonical CSV folding duplicate names",
+    "affiliations": "name,category CSV of person affiliations for the typology",
+    "seed": "seed for community detection and k-means (mandatory)",
+    "resolution": "modularity resolution",
+    "min_community_size": "drop communities smaller than this",
+    "dmin": "smallest tail degree of the power-law fit",
+    "kmeans_k": "number of community types",
+    "top_k_persons": "names per top10.csv leaderboard",
+    "top_k_members": "members listed per community in top_members.csv",
+    "include_other": "absorb non-retained communities into one pseudo-node",
+    "restarts": "k-means restarts",
+    "threads": "BFS sweep worker processes (default: usable CPUs); outputs never depend on it",
+    "eigen_tol": "eigenvector convergence tolerance",
+    "eigen_max_iter": "eigenvector iteration cap",
+    "eigen_mixing": "uniform-vector mixing in (0,1]; below 1 damps the iteration",
+    "out_dir": "directory for emitted files; without it stats and fit-powerlaw print to stdout",
+}
+FLAGS = {"kmeans_k": "--k"}
+
+# Each subcommand's help, its handler (or the report writer it runs) and the
+# fields it takes; a trailing "!" marks a required one.
+SOURCE = "input! input_format aliases"
+STAGE = f"{SOURCE} out_dir! threads eigen_tol eigen_max_iter eigen_mixing"
+DETECT = f"{STAGE} seed! resolution min_community_size"
+COMMANDS = {
+    "ingest": ("parse articles and emit the edge list + corpus stats",
+               "write_ingest_files", "input! aliases out_dir!"),
+    "stats": ("graph-level numbers (nodes, edges, density, diameter)",
+              cmd_stats, f"{SOURCE} threads out_dir"),
+    "centrality": ("per-node centralities and the top-10 leaderboards",
+                   "write_centrality_files", f"{STAGE} top_k_persons"),
+    "communities": ("Louvain partition, community table, top members",
+                    cmd_communities, f"{DETECT} top_k_members"),
+    "induced": ("community-level induced network (GraphML/DOT/JSON)",
+                "write_induced_files", f"{DETECT} include_other"),
+    "fit-powerlaw": ("degree distribution and power-law tail fit",
+                     cmd_fit_powerlaw, f"{SOURCE} dmin out_dir"),
+    "typology": ("affiliation profiles and k-means community types", "write_typology_files",
+                 f"{DETECT} affiliations! kmeans_k top_k_members restarts"),
+    "run": ("full pipeline: ingest through typology and manifest", None,
+            " ".join(f.name for f in dataclasses.fields(report.PipelineConfig))),
+    "audit": ("recompute the summary from emitted files", cmd_audit, ""),
+}
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="comention",
                     description="Co-mention network analysis pipeline")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    source = Parser(add_help=False)
-    source.add_argument("--input", required=True, help="input file path")
-    source.add_argument("--input-format", choices=report.INPUT_FORMATS,
-                        default="articles", help="articles JSONL or source,target CSV")
-    source.add_argument("--aliases", help="alias,canonical CSV folding duplicate names")
-
-    sink = Parser(add_help=False)
-    sink.add_argument("--out-dir", required=True, help="directory for emitted files")
-
-    perf = Parser(add_help=False)
-    perf.add_argument("--threads", type=int,
-                      help="worker processes for BFS sweeps (any value gives "
-                           "byte-identical outputs; default: usable CPUs)")
-
-    eigen = Parser(add_help=False)
-    eigen.add_argument("--eigen-tol", type=float, help="eigenvector convergence tolerance")
-    eigen.add_argument("--eigen-max-iter", type=int, help="eigenvector iteration cap")
-    eigen.add_argument("--eigen-mixing", type=float,
-                       help="uniform-vector mixing in (0,1]; below 1 damps the iteration")
-
-    detect = Parser(add_help=False)
-    detect.add_argument("--seed", type=int, required=True,
-                        help="seed for community detection (mandatory)")
-    detect.add_argument("--resolution", type=float, help="modularity resolution")
-    detect.add_argument("--min-community-size", type=int, dest="min_community_size",
-                        help="drop communities smaller than this")
-
-    p = sub.add_parser("ingest", parents=[sink],
-                       help="parse articles and emit the edge list + corpus stats")
-    p.add_argument("--input", required=True, help="articles JSONL path")
-    p.add_argument("--aliases", help="alias,canonical CSV")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("stats", parents=[source, perf],
-                       help="graph-level numbers (nodes, edges, density, diameter)")
-    p.add_argument("--out-dir", help="write stats.json here instead of stdout")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("centrality", parents=[source, sink, perf, eigen],
-                       help="per-node centralities and the top-10 leaderboards")
-    p.add_argument("--top-k-persons", type=int, dest="top_k_persons")
-    p.set_defaults(func=cmd_centrality)
-
-    p = sub.add_parser("communities", parents=[source, sink, perf, eigen, detect],
-                       help="Louvain partition, community table, top members")
-    p.add_argument("--top-k-members", type=int, dest="top_k_members")
-    p.set_defaults(func=cmd_communities)
-
-    p = sub.add_parser("induced", parents=[source, sink, perf, eigen, detect],
-                       help="community-level induced network (GraphML/DOT/JSON)")
-    p.add_argument("--include-other", action="store_true",
-                   help="absorb non-retained communities into one pseudo-node")
-    p.set_defaults(func=cmd_induced)
-
-    p = sub.add_parser("fit-powerlaw", parents=[source],
-                       help="degree distribution and power-law tail fit")
-    p.add_argument("--dmin", type=int, help="smallest tail degree")
-    p.add_argument("--method", choices=("loglog", "mle"), default="loglog")
-    p.add_argument("--out-dir", help="write CSV/JSON here instead of stdout")
-    p.set_defaults(func=cmd_fit_powerlaw)
-
-    p = sub.add_parser("typology", parents=[source, sink, perf, eigen, detect],
-                       help="affiliation profiles and k-means community types")
-    p.add_argument("--affiliations", required=True, help="name,category CSV")
-    p.add_argument("--k", type=int, dest="kmeans_k", help="number of types")
-    p.add_argument("--top-k-members", type=int, dest="top_k_members")
-    p.add_argument("--restarts", type=int, help="k-means restarts")
-    p.set_defaults(func=cmd_typology)
-
-    p = sub.add_parser("run", parents=[perf, eigen],
-                       help="full pipeline: ingest through typology and manifest")
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--input")
-    p.add_argument("--input-format", choices=report.INPUT_FORMATS, dest="input_format")
-    p.add_argument("--aliases")
-    p.add_argument("--affiliations")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--resolution", type=float)
-    p.add_argument("--min-community-size", type=int, dest="min_community_size")
-    p.add_argument("--dmin", type=int)
-    p.add_argument("--k", type=int, dest="kmeans_k")
-    p.add_argument("--top-k-persons", type=int, dest="top_k_persons")
-    p.add_argument("--top-k-members", type=int, dest="top_k_members")
-    p.add_argument("--include-other", action="store_const", const=True,
-                   dest="include_other")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--out-dir")
-    p.set_defaults(func=lambda a: cmd_run(a, parser))
-
-    p = sub.add_parser("audit", help="recompute the summary from emitted files")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_audit)
-
+    fields = {f.name: f for f in dataclasses.fields(report.PipelineConfig)}
+    commands = {}
+    for command, (help_text, handler, names) in COMMANDS.items():
+        p = commands[command] = sub.add_parser(command, help=help_text)
+        if isinstance(handler, str):
+            p.set_defaults(func=cmd_write, writer=handler)
+        else:
+            p.set_defaults(func=handler)
+        for name in names.split():
+            field = fields[name.rstrip("!")]
+            kind = field.type.partition(" | ")[0]
+            value = ({"action": "store_const", "const": True} if kind == "bool"
+                     else {"type": report._KINDS[kind][-1]})
+            p.add_argument(FLAGS.get(field.name, "--" + field.name.replace("_", "-")),
+                           dest=field.name, required=name.endswith("!"),
+                           help=HELP[field.name], **value)
+    commands["fit-powerlaw"].add_argument(
+        "--method", choices=("loglog", "mle"), default="loglog",
+        help="tail fit: the pipeline's log-log regression or maximum likelihood")
+    commands["run"].add_argument("--config", help="JSON config file; flags override its keys")
+    commands["run"].set_defaults(func=lambda a: cmd_run(a, parser))
+    commands["audit"].add_argument("--out-dir", required=True,
+                                   help="output directory of a run")
     return parser
 
 

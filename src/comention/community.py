@@ -37,6 +37,8 @@ class Partition:
         count = int(labels.max()) + 1
         if labels.min() < 0:
             raise DataError("community ids must be non-negative")
+        if count > labels.size:  # checked before bincount allocates count slots
+            raise DataError("community ids must be dense starting at 0")
         sizes = np.bincount(labels, minlength=count)
         if (sizes == 0).any():
             raise DataError("community ids must be dense starting at 0")

@@ -519,26 +519,30 @@ def write_ingest_files(run: PipelineRun) -> list[str]:
 def write_centrality_files(run: PipelineRun) -> list[str]:
     """centrality.csv and the four-column leaderboard top10.csv."""
     g, bundle = run.graph, run.bundle
-    table = centrality_mod.top_table(g, bundle, k=run.config.top_k_persons)
     write_csv(run.out / F_CENTRALITY,
               ["name", "degree", "closeness", "betweenness", "eigenvector", "clustering"],
               ([g.names[v], int(bundle.degree[v]), float(bundle.closeness[v]),
                 float(bundle.betweenness[v]), float(bundle.eigenvector[v]),
                 float(bundle.clustering[v])]
                for v in centrality_mod.rank(g, bundle.betweenness)))
-    depth = max(len(column) for column in table.columns.values())
-    rows = []
-    for i in range(depth):
-        row: list = [i + 1]
-        for measure in table.measures:
-            column = table.columns[measure]
-            name = column[i] if i < len(column) else ""
-            if name and table.marked(name):
-                name += MARK
-            row.append(name)
-        rows.append(row)
-    write_csv(run.out / F_TOP10, ["rank", *table.measures], rows)
+    header, *rows = _top10_rows(g, bundle, run.config.top_k_persons)
+    write_csv(run.out / F_TOP10, header, rows)
     return [F_CENTRALITY, F_TOP10]
+
+
+def _top10_rows(g: Graph, bundle: centrality_mod.CentralityBundle, k: int) -> list[list]:
+    """Header and rows of top10.csv; every column ranks all nodes, so all have one length."""
+    table = centrality_mod.top_table(g, bundle, k=k)
+    return [["rank", *table.measures]] + [
+        [i, *(name + MARK if table.marked(name) else name for name in names)]
+        for i, names in enumerate(zip(*(table.columns[m] for m in table.measures)), start=1)]
+
+
+def _top_members_rows(members: dict[int, list[str]], labels: dict[int, str]) -> list[list]:
+    """Header and rows of top_members.csv."""
+    return [["community", "label", "rank", "name"]] + [
+        [c, labels[c], i, name] for c in sorted(members)
+        for i, name in enumerate(members[c], start=1)]
 
 
 def write_partition_files(run: PipelineRun) -> list[str]:
@@ -550,14 +554,12 @@ def write_partition_files(run: PipelineRun) -> list[str]:
 
 def write_community_files(run: PipelineRun) -> list[str]:
     """communities.csv and top_members.csv over the retained communities."""
-    summaries, members, labels = run.summaries, run.members, run.labels
     write_csv(run.out / F_COMMUNITIES, ["rank", "label", "B", "S", "C", "E", "CC", "D"],
               ([i + 1, s.label, s.mean_betweenness, s.size, s.mean_closeness,
                 s.mean_eigenvector, s.mean_clustering, s.internal_density]
-               for i, s in enumerate(summaries)))
-    write_csv(run.out / F_TOP_MEMBERS, ["community", "label", "rank", "name"],
-              ([c, labels.get(c, ""), i, name] for c in sorted(members)
-               for i, name in enumerate(members[c], start=1)))
+               for i, s in enumerate(run.summaries)))
+    header, *rows = _top_members_rows(run.members, run.labels)
+    write_csv(run.out / F_TOP_MEMBERS, header, rows)
     return [F_COMMUNITIES, F_TOP_MEMBERS]
 
 
@@ -596,7 +598,7 @@ def write_typology_files(run: PipelineRun) -> list[str]:
     write_csv(run.out / F_TYPOLOGY, headers, rows)
     display = {raw: i + 1 for i, raw in enumerate(types.type_ids)}
     write_csv(run.out / F_COMMUNITY_TYPES, ["community", "label", "type", "type_name"],
-              ([c, run.labels.get(c, ""), display[assignment.types[c]],
+              ([c, run.labels[c], display[assignment.types[c]],
                 types.type_names[display[assignment.types[c]] - 1]]
                for c in sorted(assignment.types)))
     return [F_PROFILES, F_TYPOLOGY, F_COMMUNITY_TYPES]
@@ -650,7 +652,8 @@ def _close(a, b, tol=1e-9) -> bool:
 
 
 # Errors that mean a check's inputs are missing, malformed or inconsistent.
-_UNCOMPUTABLE = (OSError, DataError, KeyError, ValueError, TypeError, AttributeError)
+_UNCOMPUTABLE = (OSError, DataError, KeyError, ValueError, TypeError, AttributeError,
+                 OverflowError)
 
 
 def audit(out_dir) -> list[AuditCheck]:
@@ -690,11 +693,16 @@ def audit(out_dir) -> list[AuditCheck]:
     attempt("graph", lambda: _audit_graph(g, summary, checks))
     partition = attempt("partition",
                         lambda: _audit_partition(out, g, summary, config, checks))
-    by_name = attempt("centrality", lambda: _audit_centrality(out, g, summary, checks))
+    bundle = attempt("centrality", lambda: _audit_centrality(out, g, summary, checks))
     attempt("degree_dist", lambda: _audit_degree_dist(out, g, summary, config, checks))
-    if partition is not None and by_name is not None:
+    if bundle is not None:
+        attempt("top10", lambda: checks.append(_audit_rows(
+            out, F_TOP10, _top10_rows(g, bundle, config["top_k_persons"]))))
+    if partition is not None and bundle is not None:
         attempt("community_means", lambda: checks.append(
-            _audit_community_means(out, g, partition, by_name)))
+            _audit_community_means(out, g, partition, bundle)))
+        attempt("top_members", lambda: checks.append(
+            _audit_top_members(out, g, partition, bundle, config)))
     attempt("induced_conservation", lambda: _audit_induced(out, g, checks))
     return checks
 
@@ -779,8 +787,8 @@ def _audit_partition(out: Path, g: Graph, summary: dict, config: dict,
 
 
 def _audit_centrality(out: Path, g: Graph, summary: dict,
-                      checks: list[AuditCheck]) -> dict:
-    """Check centrality.csv; returns its rows keyed by name."""
+                      checks: list[AuditCheck]) -> centrality_mod.CentralityBundle:
+    """Check centrality.csv; returns its scores by node of ``g``, eccentricity aside."""
     with open(out / F_CENTRALITY, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     by_name = {row["name"]: row for row in rows}
@@ -797,7 +805,10 @@ def _audit_centrality(out: Path, g: Graph, summary: dict,
         checks.append(AuditCheck("degree_closeness_r",
                                  _close(r, summary["degree_closeness_r"], 1e-6),
                                  f"{r:.6g} vs {summary['degree_closeness_r']:.6g}"))
-    return by_name
+    return centrality_mod.CentralityBundle(**{
+        field: np.array([float(by_name[name][field]) for name in g.names])
+        for field in ("degree", "closeness", "betweenness", "eigenvector", "clustering")},
+        eccentricity=None)
 
 
 def _audit_degree_dist(out: Path, g: Graph, summary: dict, config: dict,
@@ -825,7 +836,7 @@ def _audit_induced(out: Path, g: Graph, checks: list[AuditCheck]) -> None:
 
 
 def _audit_community_means(out: Path, g: Graph, partition: Partition,
-                           by_name: dict) -> AuditCheck:
+                           bundle: centrality_mod.CentralityBundle) -> AuditCheck:
     """Rebuild communities.csv means from centrality.csv and the partition."""
     with open(out / F_COMMUNITIES, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -842,7 +853,7 @@ def _audit_community_means(out: Path, g: Graph, partition: Partition,
         s = members.size
 
         def mean_of(field: str) -> float:
-            return float(np.mean([float(by_name[g.names[m]][field]) for m in members]))
+            return float(np.mean(getattr(bundle, field)[members]))
 
         dens = float(intra[int(partition.labels[v])]) / (s * (s - 1) / 2.0) if s > 1 else 0.0
         if not (int(row["S"]) == s
@@ -854,3 +865,24 @@ def _audit_community_means(out: Path, g: Graph, partition: Partition,
             problems.append(f"rank {row['rank']} ({label}) mismatch")
     return AuditCheck("community_means", not problems,
                       "; ".join(problems) if problems else f"{len(rows)} rows match")
+
+
+def _audit_top_members(out: Path, g: Graph, partition: Partition,
+                       bundle: centrality_mod.CentralityBundle, config: dict) -> AuditCheck:
+    """Rebuild top_members.csv from the partition, the scores and the run's settings."""
+    retained = community_mod.filter_communities(partition, config["min_community_size"])
+    members = community_mod.top_members(g, partition, bundle, retained,
+                                        k=config["top_k_members"])
+    labels = community_mod.label_communities(g, partition, bundle)
+    return _audit_rows(out, F_TOP_MEMBERS, _top_members_rows(members, labels))
+
+
+def _audit_rows(out: Path, name: str, expected: list[list]) -> AuditCheck:
+    """Compare a table, cell by cell as written, with the rows its writer would emit."""
+    with open(out / name, "r", encoding="utf-8", newline="") as fh:
+        found = list(csv.reader(fh))
+    expected = [[fmt(cell) for cell in row] for row in expected]
+    bad = [str(i) for i in range(max(len(found), len(expected)))
+           if found[i:i + 1] != expected[i:i + 1]]
+    return AuditCheck(name.removesuffix(".csv"), not bad,
+                      f"rows {', '.join(bad)} differ" if bad else f"{len(found) - 1} rows match")

@@ -1,11 +1,14 @@
+import argparse
 import csv
+import dataclasses
+import hashlib
 import json
 import shutil
 
 import pytest
 
-from comention import DataError, community, read_edge_csv, typology
-from comention.cli import main
+from comention import DataError, PipelineConfig, community, read_edge_csv, typology
+from comention.cli import build_parser, main
 
 ARTICLES = "\n".join(
     [
@@ -61,6 +64,29 @@ def clean_run(tmp_path_factory):
                    "--out-dir", root / "out", "--seed", "5",
                    "--min-community-size", "2") == 0
     return root / "out"
+
+
+@pytest.fixture(scope="module")
+def fitted_run(tmp_path_factory):
+    """Output directory of a run on the star forest, whose power-law fit succeeds."""
+    root = tmp_path_factory.mktemp("fitted")
+    assert run_cli("run", "--input", TestFitPowerlaw.star_forest(root), "--input-format",
+                   "edges", "--out-dir", root / "out", "--seed", "5",
+                   "--min-community-size", "2") == 0
+    return root / "out"
+
+
+def redigest(out, filename, edit):
+    """Rewrite one table's rows through ``edit`` and record its new digest in the manifest."""
+    path = out / filename
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["files"][filename] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
 def audit_copy(clean_run, tmp_path, tamper, capsys):
@@ -426,6 +452,38 @@ class TestAuditCommand:
         assert any("must be a JSON object" in line for line in failed), failed
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("filename,column,value", [
+        pytest.param("partition.csv", "community", "9" * 20, id="partition-id-20-digits"),
+        pytest.param("partition.csv", "community", str(10**13), id="partition-id-1e13"),
+        pytest.param("degree_dist.csv", "d", "9" * 20, id="degree-20-digits"),
+    ])
+    def test_out_of_range_integer_fails(self, tmp_path, fitted_run, capsys,
+                                        filename, column, value):
+        def edit(rows):
+            rows[1][rows[0].index(column)] = value
+
+        rc, failed, err = audit_copy(fitted_run, tmp_path,
+                                     lambda out: redigest(out, filename, edit), capsys)
+        assert rc == 2
+        assert failed and not any("file:" in line for line in failed), failed
+        assert any(filename.removesuffix(".csv") in line for line in failed), failed
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("filename", ["top10.csv", "top_members.csv"])
+    def test_rewritten_leaderboard_fails(self, tmp_path, clean_run, capsys, filename):
+        def edit(rows):  # swap the first two rows, keeping the rank column in place
+            rank = rows[0].index("rank")
+            first, second = rows[1], rows[2]
+            rows[1] = [*second[:rank], first[rank], *second[rank + 1:]]
+            rows[2] = [*first[:rank], second[rank], *first[rank + 1:]]
+            assert rows[1] != first
+
+        rc, failed, err = audit_copy(clean_run, tmp_path,
+                                     lambda out: redigest(out, filename, edit), capsys)
+        assert rc == 2
+        assert [line.split()[1] for line in failed] == [filename.removesuffix(".csv") + ":"]
+        assert "Traceback" not in err
+
 
 class TestOptionValidation:
     @pytest.mark.parametrize("command",
@@ -483,6 +541,88 @@ class TestOptionValidation:
         assert f"error: {field} must be" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["stats", "centrality", "communities", "induced",
+                                         "fit-powerlaw", "typology", "run"])
+    def test_unknown_input_format_is_data_error(self, tmp_path, articles, capsys, command):
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(articles), "seed": 5, "out_dir": str(out),
+                                      "input_format": "bogus"}), encoding="utf-8")
+        assert run_cli("run", "--config", config) == 2
+        expected = capsys.readouterr().err
+        assert "error: input_format must be one of" in expected
+        argv = [command, "--input", articles, "--input-format", "bogus"]
+        if command not in ("stats", "fit-powerlaw"):
+            argv += ["--out-dir", out]
+        if command in ("communities", "induced", "typology", "run"):
+            argv += ["--seed", "5"]
+        if command == "typology":
+            argv += ["--affiliations", articles]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+
+def subcommands() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    """Every subcommand's options, generated from PipelineConfig's fields."""
+
+    # "!" marks a required option and "+" a switch; each dest is the flag's
+    # name with underscores, except that --k sets kmeans_k
+    SOURCE = "--input! --input-format --aliases"
+    STAGE = f"{SOURCE} --out-dir! --threads --eigen-tol --eigen-max-iter --eigen-mixing"
+    DETECT = f"{STAGE} --seed! --resolution --min-community-size"
+    OPTIONS = {
+        "ingest": "--input! --aliases --out-dir!",
+        "stats": f"{SOURCE} --threads --out-dir",
+        "centrality": f"{STAGE} --top-k-persons",
+        "communities": f"{DETECT} --top-k-members",
+        "induced": f"{DETECT} --include-other+",
+        "fit-powerlaw": f"{SOURCE} --dmin --method --out-dir",
+        "typology": f"{DETECT} --affiliations! --k --top-k-members --restarts",
+        "run": "--config --input --input-format --aliases --affiliations --seed --resolution "
+               "--min-community-size --dmin --k --top-k-persons --top-k-members "
+               "--include-other+ --restarts --out-dir --threads --eigen-tol "
+               "--eigen-max-iter --eigen-mixing",
+        "audit": "--out-dir!",
+    }
+
+    def test_subcommands(self):
+        assert list(subcommands()) == list(self.OPTIONS)
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_options_pinned(self, command):
+        found = {(tuple(a.option_strings), a.dest, a.required, a.nargs == 0)
+                 for a in subcommands()[command]._actions if a.dest != "help"}
+        expected = set()
+        for spec in self.OPTIONS[command].split():
+            flag = spec.rstrip("!+")
+            dest = "kmeans_k" if flag == "--k" else flag[2:].replace("-", "_")
+            expected.add(((flag,), dest, "!" in spec, "+" in spec))
+        assert found == expected
+
+    def test_every_config_field_is_a_run_flag(self):
+        run = subcommands()["run"]
+        by_dest = {a.dest: a for a in run._actions}
+        for field in dataclasses.fields(PipelineConfig):
+            action = by_dest[field.name]
+            argv = [action.option_strings[0]] + ([] if action.nargs == 0 else ["1"])
+            assert getattr(run.parse_args(argv), field.name) is not None, field.name
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_help_exits_zero_and_describes_every_option(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(command, "--help")
+        assert err.value.code == 0
+        assert "usage: comention" in capsys.readouterr().out
+        assert all(a.help for a in subcommands()[command]._actions)
 
 
 class TestErrorChannels:

@@ -222,6 +222,8 @@ class TestModularity:
     def test_partition_validation(self):
         with pytest.raises(DataError):
             Partition.from_labels([0, 2])  # not dense
+        with pytest.raises(DataError, match="dense starting at 0"):
+            Partition.from_labels([0, 10**13])  # rejected before sizing a count array
         with pytest.raises(DataError):
             Partition.from_labels([-1, 0])
         with pytest.raises(DataError):
