@@ -172,15 +172,16 @@ def pearson_correlation(x, y) -> float:
     return float((dx * dy).sum() / (sx * sy))
 
 
-def rank(g: Graph, scores, nodes=None) -> list[int]:
-    """Node ids by score descending, ties broken by name ascending.
+def as_written(score) -> float:
+    """A score as written to tables (:data:`FLOAT_FORMAT`); rankings compare these,
+    so round-off beyond the written digits never decides an order."""
+    return float(format(float(score), FLOAT_FORMAT))
 
-    Scores are compared as written to tables (:data:`FLOAT_FORMAT`), so
-    round-off beyond the written digits never decides the order.
-    """
+
+def rank(g: Graph, scores, nodes=None) -> list[int]:
+    """Node ids by score :func:`as_written` descending, ties broken by name ascending."""
     nodes = range(g.node_count) if nodes is None else nodes
-    return sorted(nodes, key=lambda v: (-float(format(float(scores[v]), FLOAT_FORMAT)),
-                                        g.names[v]))
+    return sorted(nodes, key=lambda v: (-as_written(scores[v]), g.names[v]))
 
 
 def top_k(g: Graph, bundle: CentralityBundle, measure: str, k: int = 10) -> list[str]:

@@ -180,7 +180,7 @@ COMMANDS = {
                  f"{DETECT} affiliations! kmeans_k top_k_members restarts"),
     "run": ("full pipeline: ingest through typology and manifest", None,
             " ".join(f.name for f in dataclasses.fields(report.PipelineConfig))),
-    "audit": ("recompute the summary from emitted files", cmd_audit, ""),
+    "audit": ("check a run by reading it back and re-rendering its tables", cmd_audit, ""),
 }
 
 

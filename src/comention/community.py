@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .centrality import CentralityBundle, rank
+from .centrality import CentralityBundle, as_written, rank
 from .errors import ConvergenceError, DataError
 from .graph import Graph, relabel_by_size
 
@@ -208,7 +208,8 @@ class CommunitySummary:
 
 def community_summary(g: Graph, p: Partition, bundle: CentralityBundle,
                       communities: Sequence[int]) -> list[CommunitySummary]:
-    """Mean member scores per community, sorted by mean betweenness descending.
+    """Mean member scores per community, by mean betweenness :func:`as_written`
+    descending, then community id.
 
     Internal density is intra-community edges over C(size, 2); a singleton
     community scores 0.
@@ -230,7 +231,7 @@ def community_summary(g: Graph, p: Partition, bundle: CentralityBundle,
             community=c, label=labels[c], mean_betweenness=float(mean_b[c]), size=s,
             mean_closeness=float(mean_c[c]), mean_eigenvector=float(mean_e[c]),
             mean_clustering=float(mean_cc[c]), internal_density=d))
-    out.sort(key=lambda r: (-r.mean_betweenness, r.community))
+    out.sort(key=lambda r: (-as_written(r.mean_betweenness), r.community))
     return out
 
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,9 +22,8 @@ from . import centrality as centrality_mod
 from . import community as community_mod
 from .centrality import FLOAT_FORMAT
 from .errors import DataError
-from .graph import (Graph, build_graph, connected_components, degree_histogram,
-                    density, diameter as graph_diameter, read_edge_csv,
-                    read_edge_pairs, write_edge_csv)
+from .graph import (Graph, build_graph, connected_components, density,
+                    diameter as graph_diameter, read_edge_csv, read_edge_pairs, write_edge_csv)
 from .ingest import (apply_aliases, clique_expand, ingest_stats, load_aliases,
                      load_articles, normalize_name)
 from .community import InducedGraph, Partition
@@ -478,28 +479,36 @@ class PipelineRun:
 
     @cached_property
     def degree_closeness_correlation(self) -> float | None:
+        bundle = self.bundle  # a bundle that cannot be read is an error, not a skip
         try:
             return centrality_mod.pearson_correlation(
-                self.bundle.degree.astype(np.float64), self.bundle.closeness)
+                bundle.degree.astype(np.float64), bundle.closeness)
         except DataError as exc:
             return self._skip("degree_closeness_correlation", exc)
 
     @cached_property
+    def diameter(self) -> int:
+        largest = self.components.members(0)
+        return int(self.bundle.eccentricity[largest].max()) if largest.size > 1 else 0
+
+    @cached_property
     def summary(self) -> dict:
-        g, labeling, fit = self.graph, self.components, self.powerlaw
-        largest = labeling.members(0)
-        return {
-            "nodes": g.node_count,
-            "edges": g.edge_count,
-            "density": density(g.node_count, g.edge_count),
-            "diameter": int(self.bundle.eccentricity[largest].max()) if largest.size > 1 else 0,
-            "component_count": labeling.count,
-            "community_count": self.partition.count,
-            "retained_count": len(self.retained),
-            "modularity": self.modularity,
-            "alpha": None if fit is None else fit.alpha,
-            "degree_closeness_r": self.degree_closeness_correlation,
-        }
+        return {name: field(self) for name, field in SUMMARY_FIELDS.items()}
+
+
+# summary.json: each field and how a run computes it
+SUMMARY_FIELDS = {
+    "nodes": lambda run: run.graph.node_count,
+    "edges": lambda run: run.graph.edge_count,
+    "density": lambda run: density(run.graph.node_count, run.graph.edge_count),
+    "diameter": lambda run: run.diameter,
+    "component_count": lambda run: run.components.count,
+    "community_count": lambda run: run.partition.count,
+    "retained_count": lambda run: len(run.retained),
+    "modularity": lambda run: run.modularity,
+    "alpha": lambda run: None if run.powerlaw is None else run.powerlaw.alpha,
+    "degree_closeness_r": lambda run: run.degree_closeness_correlation,
+}
 
 
 # ------------------------------------------------------- artifact writers
@@ -525,24 +534,13 @@ def write_centrality_files(run: PipelineRun) -> list[str]:
                 float(bundle.betweenness[v]), float(bundle.eigenvector[v]),
                 float(bundle.clustering[v])]
                for v in centrality_mod.rank(g, bundle.betweenness)))
-    header, *rows = _top10_rows(g, bundle, run.config.top_k_persons)
-    write_csv(run.out / F_TOP10, header, rows)
+    table = centrality_mod.top_table(g, bundle, k=run.config.top_k_persons)
+    # every column ranks all nodes, so all have one length
+    write_csv(run.out / F_TOP10, ["rank", *table.measures],
+              ([i, *(name + MARK if table.marked(name) else name for name in names)]
+               for i, names in enumerate(zip(*(table.columns[m] for m in table.measures)),
+                                         start=1)))
     return [F_CENTRALITY, F_TOP10]
-
-
-def _top10_rows(g: Graph, bundle: centrality_mod.CentralityBundle, k: int) -> list[list]:
-    """Header and rows of top10.csv; every column ranks all nodes, so all have one length."""
-    table = centrality_mod.top_table(g, bundle, k=k)
-    return [["rank", *table.measures]] + [
-        [i, *(name + MARK if table.marked(name) else name for name in names)]
-        for i, names in enumerate(zip(*(table.columns[m] for m in table.measures)), start=1)]
-
-
-def _top_members_rows(members: dict[int, list[str]], labels: dict[int, str]) -> list[list]:
-    """Header and rows of top_members.csv."""
-    return [["community", "label", "rank", "name"]] + [
-        [c, labels[c], i, name] for c in sorted(members)
-        for i, name in enumerate(members[c], start=1)]
 
 
 def write_partition_files(run: PipelineRun) -> list[str]:
@@ -558,8 +556,10 @@ def write_community_files(run: PipelineRun) -> list[str]:
               ([i + 1, s.label, s.mean_betweenness, s.size, s.mean_closeness,
                 s.mean_eigenvector, s.mean_clustering, s.internal_density]
                for i, s in enumerate(run.summaries)))
-    header, *rows = _top_members_rows(run.members, run.labels)
-    write_csv(run.out / F_TOP_MEMBERS, header, rows)
+    members = run.members
+    write_csv(run.out / F_TOP_MEMBERS, ["community", "label", "rank", "name"],
+              ([c, run.labels[c], i, name] for c in sorted(members)
+               for i, name in enumerate(members[c], start=1)))
     return [F_COMMUNITIES, F_TOP_MEMBERS]
 
 
@@ -645,10 +645,9 @@ class AuditCheck:
     detail: str
 
 
-def _close(a, b, tol=1e-9) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _close(a: float, b: float) -> bool:
+    """The audit's one float tolerance: 1e-9 relative, or absolute below 1."""
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
 # Errors that mean a check's inputs are missing, malformed or inconsistent.
@@ -656,14 +655,68 @@ _UNCOMPUTABLE = (OSError, DataError, KeyError, ValueError, TypeError, AttributeE
                  OverflowError)
 
 
-def audit(out_dir) -> list[AuditCheck]:
-    """Re-derive the summary from the emitted files and compare.
+class RecordedRun(PipelineRun):
+    """A finished run read back from its directory.
 
-    Digests are verified for every manifest entry; graph-level numbers are
-    recomputed from edges.csv; partition and community tables are cross
-    checked against centrality.csv; the power-law fit is refit from
-    degree_dist.csv.  Each group of checks runs on its own: one that cannot
-    be computed from the files, say because a row was renamed or deleted,
+    The graph comes from edges.csv, the partition from partition.csv, the
+    scores from centrality.csv (degree from the graph) and the diameter from
+    one distance-only sweep, so no community detection, eigenvector
+    iteration or Brandes sweep runs again.  Every other product, and every
+    file a writer renders into ``config.out_dir``, is :class:`PipelineRun`'s own.
+    """
+
+    def __init__(self, run_dir: Path, config: PipelineConfig):
+        super().__init__(config)
+        self.run_dir = run_dir
+
+    @cached_property
+    def source(self) -> tuple[Graph, None]:
+        return read_edge_csv(self.run_dir / F_EDGES), None
+
+    @cached_property
+    def diameter(self) -> int:
+        return graph_diameter(self.graph, components=self.components)
+
+    @cached_property
+    def partition(self) -> Partition:
+        return Partition.from_labels(
+            [int(row[0]) for row in self._per_node(F_PARTITION, ["community"])])
+
+    @cached_property
+    def bundle(self) -> centrality_mod.CentralityBundle:
+        measures = ["closeness", "betweenness", "eigenvector", "clustering"]
+        columns = np.array(self._per_node(F_CENTRALITY, measures), dtype=np.float64).T
+        return centrality_mod.CentralityBundle(
+            degree=centrality_mod.degree_centrality(self.graph), eccentricity=None,
+            **dict(zip(measures, columns)))
+
+    def _per_node(self, filename: str, columns: list[str]) -> list[list[str]]:
+        """``columns`` of a table with one row per graph node, in node id order."""
+        path = self.run_dir / filename
+        index = self.graph.name_to_id
+        rows: list = [None] * len(index)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                v = index.get(row["name"])
+                if v is None:
+                    raise DataError(f"{path}: {row['name']!r} is not a graph node")
+                if rows[v] is not None:
+                    raise DataError(f"{path}: {row['name']!r} is listed twice")
+                rows[v] = [row[c] for c in columns]
+        if None in rows:
+            raise DataError(f"{path}: {rows.count(None)} graph nodes missing")
+        return rows
+
+
+def audit(out_dir) -> list[AuditCheck]:
+    """Read a run back and check that its files say what the run computes.
+
+    Digests are verified for every manifest entry.  The run is read back
+    as a :class:`RecordedRun`: every summary.json field is compared with
+    the one it computes, and the run's own writers re-render the centrality,
+    community and power-law tables into a temporary directory, each compared
+    with the file on disk.  Each check runs on its own: one that cannot be
+    computed from the files, say because a row was renamed or deleted,
     becomes a failed check whose detail names the cause.
     """
     out = Path(out_dir)
@@ -685,25 +738,34 @@ def audit(out_dir) -> list[AuditCheck]:
         return checks
     attempt("digests", lambda: _audit_digests(out, manifest, checks))
     summary = attempt("summary", lambda: _json_object(_read_json(out / F_SUMMARY), F_SUMMARY))
-    g = attempt("edges", lambda: read_edge_csv(out / F_EDGES))
-    if summary is None or g is None:
-        return checks
-    config = manifest.get("config", {})
-
-    attempt("graph", lambda: _audit_graph(g, summary, checks))
-    partition = attempt("partition",
-                        lambda: _audit_partition(out, g, summary, config, checks))
-    bundle = attempt("centrality", lambda: _audit_centrality(out, g, summary, checks))
-    attempt("degree_dist", lambda: _audit_degree_dist(out, g, summary, config, checks))
-    if bundle is not None:
-        attempt("top10", lambda: checks.append(_audit_rows(
-            out, F_TOP10, _top10_rows(g, bundle, config["top_k_persons"]))))
-    if partition is not None and bundle is not None:
-        attempt("community_means", lambda: checks.append(
-            _audit_community_means(out, g, partition, bundle)))
-        attempt("top_members", lambda: checks.append(
-            _audit_top_members(out, g, partition, bundle, config)))
-    attempt("induced_conservation", lambda: _audit_induced(out, g, checks))
+    with tempfile.TemporaryDirectory() as scratch:
+        run = attempt("config", lambda: RecordedRun(out, PipelineConfig.from_mapping({
+            **manifest.get("config", {}), "input": str(out / F_EDGES), "out_dir": scratch})))
+        if run is None or attempt("edges", lambda: run.graph) is None:
+            return checks
+        attempt("partition", lambda: checks.append(AuditCheck(
+            "partition", True, f"one row per graph node, {run.partition.count} communities")))
+        if summary is not None:
+            for name in dict.fromkeys([*SUMMARY_FIELDS, *summary]):
+                attempt(name, lambda: checks.append(
+                    _audit_field(name, SUMMARY_FIELDS[name](run), summary[name])))
+        # each re-rendered file, its check and its writer, named here so that
+        # wrappers installed after import see the call
+        rendered = {}
+        for name, check, writer in (
+                (F_CENTRALITY, "centrality", write_centrality_files),
+                (F_TOP10, "top10", write_centrality_files),
+                (F_COMMUNITIES, "community_means", write_community_files),
+                (F_TOP_MEMBERS, "top_members", write_community_files),
+                (F_DEGREE_DIST, "degree_dist", write_powerlaw_files),
+                (F_POWERLAW_FIT, "powerlaw_fit", write_powerlaw_files),
+                (F_POWERLAW, "powerlaw", write_powerlaw_files)):
+            def compare():
+                if writer not in rendered:
+                    rendered[writer] = writer(run)
+                return _audit_file(check, out / name, run.out / name)
+            attempt(check, lambda: checks.append(compare()))
+    attempt("induced_conservation", lambda: _audit_induced(out, run.graph, checks))
     return checks
 
 
@@ -745,85 +807,35 @@ def _audit_digests(out: Path, manifest: dict, checks: list[AuditCheck]) -> None:
         checks.append(AuditCheck("digests", True, f"{len(files)} files match"))
 
 
-def _audit_graph(g: Graph, summary: dict, checks: list[AuditCheck]) -> None:
-    checks.append(AuditCheck("nodes", g.node_count == summary["nodes"],
-                             f"{g.node_count} vs {summary['nodes']}"))
-    checks.append(AuditCheck("edges", g.edge_count == summary["edges"],
-                             f"{g.edge_count} vs {summary['edges']}"))
-    dens = density(g.node_count, g.edge_count)
-    checks.append(AuditCheck("density", _close(dens, summary["density"]),
-                             f"{dens:.12g} vs {summary['density']:.12g}"))
-    labeling = connected_components(g)
-    checks.append(AuditCheck("component_count", labeling.count == summary["component_count"],
-                             f"{labeling.count} vs {summary['component_count']}"))
-    diam = graph_diameter(g, components=labeling)
-    checks.append(AuditCheck("diameter", diam == summary["diameter"],
-                             f"{diam} vs {summary['diameter']}"))
+def _audit_field(name: str, computed, recorded) -> AuditCheck:
+    """A summary field: integers and nulls equal, floats within :func:`_close`."""
+    if isinstance(computed, float) and type(recorded) in (int, float):
+        ok = _close(computed, recorded)
+    else:
+        ok = type(computed) is type(recorded) and computed == recorded
+    return AuditCheck(name, ok, f"{json.dumps(computed)} vs {json.dumps(recorded)}")
 
 
-def _audit_partition(out: Path, g: Graph, summary: dict, config: dict,
-                     checks: list[AuditCheck]) -> Partition | None:
-    """Check partition.csv; returns the partition when it covers the graph."""
-    with open(out / F_PARTITION, "r", encoding="utf-8", newline="") as fh:
-        community_of = {row["name"]: int(row["community"]) for row in csv.DictReader(fh)}
-    missing = [name for name in g.names if name not in community_of]
-    checks.append(AuditCheck("partition_covers_graph", not missing,
-                             f"{len(missing)} graph nodes missing from partition"))
-    if missing:
-        return None
-    labels = np.array([community_of[name] for name in g.names], dtype=np.int64)
-    partition = Partition.from_labels(labels)
-    q = community_mod.modularity(g, partition)
-    checks.append(AuditCheck("modularity", _close(q, summary["modularity"]),
-                             f"{q:.12g} vs {summary['modularity']:.12g}"))
-    checks.append(AuditCheck(
-        "community_count", partition.count == summary["community_count"],
-        f"{partition.count} vs {summary['community_count']}"))
-    min_size = int(config.get("min_community_size", 1))
-    kept = sum(1 for s in partition.sizes if s >= min_size)
-    checks.append(AuditCheck("retained_count", kept == summary["retained_count"],
-                             f"{kept} vs {summary['retained_count']}"))
-    return partition
+def _audit_file(check: str, written: Path, rendered: Path) -> AuditCheck:
+    """A file against its re-rendering: the same bytes, or CSV cells that are
+    equal or, where both parse as floats, within :func:`_close`."""
+    if written.read_bytes() == rendered.read_bytes():
+        return AuditCheck(check, True, f"{written.name} re-renders byte for byte")
+    if written.suffix != ".csv":
+        return AuditCheck(check, False, f"{written.name} differs from its re-rendering")
+    found, expected = (list(csv.reader(p.read_text(encoding="utf-8").splitlines(True)))
+                       for p in (written, rendered))
+    bad = [str(i) for i, (a, b) in enumerate(itertools.zip_longest(found, expected, fillvalue=[]))
+           if len(a) != len(b) or not all(map(_same_cell, a, b))]
+    return AuditCheck(check, not bad, f"rows {', '.join(bad)} differ" if bad
+                      else f"{written.name} re-renders within 1e-9")
 
 
-def _audit_centrality(out: Path, g: Graph, summary: dict,
-                      checks: list[AuditCheck]) -> centrality_mod.CentralityBundle:
-    """Check centrality.csv; returns its scores by node of ``g``, eccentricity aside."""
-    with open(out / F_CENTRALITY, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    by_name = {row["name"]: row for row in rows}
-    missing = sum(1 for name in g.names if name not in by_name)
-    degree_ok = (not missing and len(by_name) == g.node_count and
-                 all(int(by_name[name]["degree"]) == g.degree_of(v)
-                     for v, name in enumerate(g.names)))
-    checks.append(AuditCheck("degree_column", degree_ok,
-                             f"{len(by_name)} rows, {missing} graph nodes missing"))
-    if summary.get("degree_closeness_r") is not None:
-        r = centrality_mod.pearson_correlation(
-            [float(row["degree"]) for row in rows],
-            [float(row["closeness"]) for row in rows])
-        checks.append(AuditCheck("degree_closeness_r",
-                                 _close(r, summary["degree_closeness_r"], 1e-6),
-                                 f"{r:.6g} vs {summary['degree_closeness_r']:.6g}"))
-    return centrality_mod.CentralityBundle(**{
-        field: np.array([float(by_name[name][field]) for name in g.names])
-        for field in ("degree", "closeness", "betweenness", "eigenvector", "clustering")},
-        eccentricity=None)
-
-
-def _audit_degree_dist(out: Path, g: Graph, summary: dict, config: dict,
-                       checks: list[AuditCheck]) -> None:
-    hist: dict[int, int] = {}
-    with open(out / F_DEGREE_DIST, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            hist[int(row["d"])] = int(row["count"])
-    checks.append(AuditCheck("degree_dist", hist == degree_histogram(g),
-                             f"{len(hist)} distinct degrees"))
-    if summary.get("alpha") is not None:
-        refit = fit_loglog(DegreeDistribution.from_histogram(hist),
-                           int(config.get("dmin", 3)))
-        checks.append(AuditCheck("alpha", _close(refit.alpha, summary["alpha"], 1e-9),
-                                 f"{refit.alpha:.12g} vs {summary['alpha']:.12g}"))
+def _same_cell(a: str, b: str) -> bool:
+    try:
+        return a == b or _close(float(a), float(b))
+    except ValueError:
+        return False
 
 
 def _audit_induced(out: Path, g: Graph, checks: list[AuditCheck]) -> None:
@@ -833,56 +845,3 @@ def _audit_induced(out: Path, g: Graph, checks: list[AuditCheck]) -> None:
              + induced["dropped_edges"])
     checks.append(AuditCheck("induced_conservation", total == g.edge_count,
                              f"{total} vs m={g.edge_count}"))
-
-
-def _audit_community_means(out: Path, g: Graph, partition: Partition,
-                           bundle: centrality_mod.CentralityBundle) -> AuditCheck:
-    """Rebuild communities.csv means from centrality.csv and the partition."""
-    with open(out / F_COMMUNITIES, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    intra = community_mod.intra_edges(g, partition)
-
-    problems = []
-    for row in rows:
-        label = row["label"]
-        v = g.name_to_id.get(label)
-        if v is None:
-            problems.append(f"label {label!r} not in graph")
-            continue
-        members = partition.members(int(partition.labels[v]))
-        s = members.size
-
-        def mean_of(field: str) -> float:
-            return float(np.mean(getattr(bundle, field)[members]))
-
-        dens = float(intra[int(partition.labels[v])]) / (s * (s - 1) / 2.0) if s > 1 else 0.0
-        if not (int(row["S"]) == s
-                and _close(mean_of("betweenness"), float(row["B"]), 1e-6)
-                and _close(mean_of("closeness"), float(row["C"]), 1e-6)
-                and _close(mean_of("eigenvector"), float(row["E"]), 1e-6)
-                and _close(mean_of("clustering"), float(row["CC"]), 1e-6)
-                and _close(dens, float(row["D"]), 1e-6)):
-            problems.append(f"rank {row['rank']} ({label}) mismatch")
-    return AuditCheck("community_means", not problems,
-                      "; ".join(problems) if problems else f"{len(rows)} rows match")
-
-
-def _audit_top_members(out: Path, g: Graph, partition: Partition,
-                       bundle: centrality_mod.CentralityBundle, config: dict) -> AuditCheck:
-    """Rebuild top_members.csv from the partition, the scores and the run's settings."""
-    retained = community_mod.filter_communities(partition, config["min_community_size"])
-    members = community_mod.top_members(g, partition, bundle, retained,
-                                        k=config["top_k_members"])
-    labels = community_mod.label_communities(g, partition, bundle)
-    return _audit_rows(out, F_TOP_MEMBERS, _top_members_rows(members, labels))
-
-
-def _audit_rows(out: Path, name: str, expected: list[list]) -> AuditCheck:
-    """Compare a table, cell by cell as written, with the rows its writer would emit."""
-    with open(out / name, "r", encoding="utf-8", newline="") as fh:
-        found = list(csv.reader(fh))
-    expected = [[fmt(cell) for cell in row] for row in expected]
-    bad = [str(i) for i in range(max(len(found), len(expected)))
-           if found[i:i + 1] != expected[i:i + 1]]
-    return AuditCheck(name.removesuffix(".csv"), not bad,
-                      f"rows {', '.join(bad)} differ" if bad else f"{len(found) - 1} rows match")

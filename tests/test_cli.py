@@ -8,6 +8,7 @@ import shutil
 import pytest
 
 from comention import DataError, PipelineConfig, community, read_edge_csv, typology
+from comention import _sweep, centrality, graph, report
 from comention.cli import build_parser, main
 
 ARTICLES = "\n".join(
@@ -77,13 +78,19 @@ def fitted_run(tmp_path_factory):
 
 
 def redigest(out, filename, edit):
-    """Rewrite one table's rows through ``edit`` and record its new digest in the manifest."""
+    """Rewrite one table's rows, or a JSON file's document, through ``edit`` and
+    record the file's new digest in the manifest."""
     path = out / filename
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    edit(rows)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     manifest["files"][filename] = hashlib.sha256(path.read_bytes()).hexdigest()
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
@@ -483,6 +490,69 @@ class TestAuditCommand:
         assert rc == 2
         assert [line.split()[1] for line in failed] == [filename.removesuffix(".csv") + ":"]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("filename,check", [
+        ("centrality.csv", "centrality"),
+        ("communities.csv", "community_means"),
+        ("degree_dist.csv", "degree_dist"),
+        ("powerlaw_fit.csv", "powerlaw_fit"),
+        ("powerlaw.json", "powerlaw"),
+    ])
+    def test_rewritten_table_fails(self, tmp_path, clean_run, fitted_run, capsys,
+                                   filename, check):
+        """Every re-rendered file has exactly one content check."""
+        def edit(doc):
+            if isinstance(doc, dict):  # powerlaw.json: change one value
+                doc["alpha"] += 0.5
+                return
+            first, second = list(doc[1]), list(doc[2])
+            doc[1], doc[2] = second, first  # swap two rows, keeping a rank column in place
+            if "rank" in doc[0]:
+                rank = doc[0].index("rank")
+                first[rank], second[rank] = second[rank], first[rank]
+            assert doc[1] != first
+
+        source = fitted_run if filename.startswith("powerlaw") else clean_run
+        rc, failed, err = audit_copy(source, tmp_path,
+                                     lambda out: redigest(out, filename, edit), capsys)
+        assert rc == 2
+        assert [line.split()[1] for line in failed] == [check + ":"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", ["unknown-name", "duplicated-name"])
+    def test_partition_rows_not_one_per_node_fail(self, tmp_path, clean_run, capsys, extra):
+        def edit(rows):
+            rows.append(["Nobody", rows[1][1]] if extra == "unknown-name" else list(rows[1]))
+
+        rc, failed, err = audit_copy(clean_run, tmp_path,
+                                     lambda out: redigest(out, "partition.csv", edit), capsys)
+        assert rc == 2
+        assert "partition:" in [line.split()[1] for line in failed], failed
+        assert not any("file:" in line for line in failed), failed
+        assert "Traceback" not in err
+
+    def test_audit_only_reads(self, tmp_path, clean_run, capsys, monkeypatch):
+        """No product the run wrote is recomputed, and the run directory is left as it was."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("audit recomputed a product it can read from the run")
+
+        monkeypatch.setattr(community, "louvain", forbidden)
+        monkeypatch.setattr(centrality, "compute_bundle", forbidden)
+        monkeypatch.setattr(report, "kmeans", forbidden)
+        for module in (_sweep, centrality, graph):
+            def distance_only(*args, betweenness=False, _original=module.sweep, **kwargs):
+                if betweenness:
+                    forbidden()
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, "sweep", distance_only)
+
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("audit", "--out-dir", out) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestOptionValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -378,6 +379,16 @@ class TestCommunitySummary:
         )
         scores = [r.mean_betweenness for r in rows]
         assert scores == sorted(scores, reverse=True)
+
+    def test_near_tied_means_list_in_id_order(self):
+        """Means equal in every written digit order by community id, whatever the round-off."""
+        g = build_graph([("A", "B"), ("B", "C"), ("C", "D")])
+        betweenness = np.array([0.3, 0.3, 0.3, 0.3 * (1.0 + 1e-15)])
+        bundle = dataclasses.replace(compute_bundle(g), betweenness=betweenness)
+        p = Partition.from_labels([0, 0, 1, 1])
+        rows = community_summary(g, p, bundle, [0, 1])
+        assert rows[1].mean_betweenness > rows[0].mean_betweenness
+        assert [r.community for r in rows] == [0, 1]
 
 
 class TestInducedGraph:
