@@ -7,9 +7,9 @@ types, and emits machine-readable reports for all of the above.
 """
 
 from .errors import ConvergenceError, DataError
-from .graph import (ComponentLabeling, Graph, UNREACHABLE, build_graph,
-                    connected_components, degree_histogram, density, diameter,
-                    read_edge_csv, shortest_path_lengths, write_edge_csv)
+from .graph import (ComponentLabeling, Graph, build_graph, connected_components,
+                    degree_histogram, density, diameter, read_edge_csv,
+                    write_edge_csv)
 from .ingest import (AliasMap, ArticleRecord, apply_aliases, clique_expand,
                      ingest_stats, load_aliases, load_articles, normalize_name,
                      parse_articles)

@@ -65,9 +65,9 @@ def _sweep_scores(g: Graph, *, betweenness: bool, threads: int | None):
     return closeness, between, result
 
 
-def closeness_centrality(g: Graph, *, threads: int | None = None) -> np.ndarray:
+def closeness_centrality(g: Graph) -> np.ndarray:
     """Per-component closeness; every component is handled on its own."""
-    return _sweep_scores(g, betweenness=False, threads=threads)[0]
+    return _sweep_scores(g, betweenness=False, threads=None)[0]
 
 
 def betweenness_centrality(g: Graph, *, threads: int | None = None) -> np.ndarray:

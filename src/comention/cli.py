@@ -66,7 +66,7 @@ def cmd_stats(args) -> int:
         "density": density(g.node_count, g.edge_count),
         "component_count": labeling.count,
         "largest_component": labeling.sizes[0],
-        "diameter": graph_diameter(g, components=labeling, threads=run.config.threads),
+        "diameter": graph_diameter(g, components=labeling),
     }
     if run.config.out_dir:
         report.write_json(run.out / "stats.json", stats)
@@ -150,7 +150,8 @@ HELP = {
     "top_k_members": "members listed per community in top_members.csv",
     "include_other": "absorb non-retained communities into one pseudo-node",
     "restarts": "k-means restarts",
-    "threads": "BFS sweep worker processes (default: usable CPUs); outputs never depend on it",
+    "threads": "worker processes of the Brandes betweenness sweep (default: usable CPUs); "
+               "distance sweeps run bit-parallel in one process; outputs never depend on it",
     "eigen_tol": "eigenvector convergence tolerance",
     "eigen_max_iter": "eigenvector iteration cap",
     "eigen_mixing": "uniform-vector mixing in (0,1]; below 1 damps the iteration",

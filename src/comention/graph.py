@@ -10,12 +10,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._sweep import bfs, sweep
+from ._sweep import sweep
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
-
-UNREACHABLE = -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,15 +192,7 @@ def relabel_by_size(groups) -> tuple[np.ndarray, tuple[int, ...]]:
     return remap[inverse], tuple(int(c) for c in counts[order])
 
 
-def shortest_path_lengths(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source``; unreachable nodes hold ``UNREACHABLE``."""
-    dist = np.full(g.node_count, UNREACHABLE, dtype=np.int64)
-    bfs(g.indptr, g.adjacency, dist, g.check_node(source))
-    return dist
-
-
-def diameter(g: Graph, *, components: ComponentLabeling | None = None,
-             threads: int | None = None) -> int:
+def diameter(g: Graph, *, components: ComponentLabeling | None = None) -> int:
     """Longest shortest path within the largest connected component."""
     labeling = components if components is not None else connected_components(g)
     if labeling.count > 1:
@@ -211,7 +201,7 @@ def diameter(g: Graph, *, components: ComponentLabeling | None = None,
     members = labeling.members(0)
     if members.size < 2:
         return 0
-    result = sweep(g.indptr, g.adjacency, g.node_count, members, threads=threads)
+    result = sweep(g.indptr, g.adjacency, g.node_count, members)
     return int(result.eccentricity.max())
 
 

@@ -661,8 +661,11 @@ class RecordedRun(PipelineRun):
     The graph comes from edges.csv, the partition from partition.csv, the
     scores from centrality.csv (degree from the graph) and the diameter from
     one distance-only sweep, so no community detection, eigenvector
-    iteration or Brandes sweep runs again.  Every other product, and every
-    file a writer renders into ``config.out_dir``, is :class:`PipelineRun`'s own.
+    iteration or Brandes sweep runs again.  That sweep is bit-parallel and
+    runs in this process: only the Brandes sweep starts worker processes,
+    and ``config.threads`` never changes a byte.  Every other product, and
+    every file a writer renders into ``config.out_dir``, is
+    :class:`PipelineRun`'s own.
     """
 
     def __init__(self, run_dir: Path, config: PipelineConfig):

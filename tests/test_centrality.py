@@ -337,7 +337,7 @@ class TestBundleAndInvariance:
         g = build_graph(random_connected_pairs(rng, 25, extra=15))
         bundle = compute_bundle(g, threads=1)
         assert (bundle.degree == degree_centrality(g)).all()
-        assert (bundle.closeness == closeness_centrality(g, threads=1)).all()
+        assert (bundle.closeness == closeness_centrality(g)).all()
         assert (
             bundle.betweenness == betweenness_centrality(g, threads=1)
         ).all()

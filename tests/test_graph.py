@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,15 @@ from conftest import (
 )
 from comention import (
     DataError,
-    UNREACHABLE,
     build_graph,
     connected_components,
     degree_histogram,
     density,
     diameter,
     read_edge_csv,
-    shortest_path_lengths,
     write_edge_csv,
 )
+from comention._sweep import sweep
 
 
 def star(k=5):
@@ -212,41 +213,36 @@ class TestDiameter:
 
 
 class TestShortestPaths:
-    def test_path_from_end(self):
-        g = path(["A", "B", "C"])
-        assert shortest_path_lengths(g, 0).tolist() == [0, 1, 2]
+    """All-sources sweep aggregates of built graphs, in both sweep modes."""
 
-    def test_unreachable_marked(self):
-        g = build_graph([("A", "B"), ("X", "Y")])
-        d = shortest_path_lengths(g, 0)
-        assert d[g.name_to_id["X"]] == UNREACHABLE
-        assert UNREACHABLE == -1
-
-    def test_invalid_source_rejected(self):
-        with pytest.raises(DataError):
-            shortest_path_lengths(star(3), 99)
+    @staticmethod
+    def both_modes(g):
+        n = g.node_count
+        return [sweep(g.indptr, g.adjacency, n, np.arange(n, dtype=np.int64),
+                      betweenness=betweenness, threads=1) for betweenness in (False, True)]
 
     def test_matches_floyd_warshall(self):
         rng = np.random.default_rng(31)
         for _ in range(40):
             g = graph_from(random_pairs(rng, n_max=10))
             dist = floyd_warshall(g.node_count, id_pairs(g))
-            for s in range(g.node_count):
-                got = shortest_path_lengths(g, s)
-                want = [d if d < INF else UNREACHABLE for d in dist[s]]
-                assert got.tolist() == want
+            for result in self.both_modes(g):
+                for s in range(g.node_count):
+                    finite = [d for d in dist[s] if d < INF]
+                    assert result.eccentricity[s] == max(finite)
+                    assert result.distance_sum[s] == sum(finite)
+                    assert result.reachable[s] == len(finite)
 
     def test_triangle_inequality_sampled(self):
+        # d(u, w) <= 1 + d(v, w) for every edge uv, so adjacent nodes reach
+        # the same nodes and their aggregates differ by at most one hop per node
         rng = np.random.default_rng(37)
         g = graph_from(random_pairs(rng, n_max=9, p=0.6))
-        rows = [shortest_path_lengths(g, s) for s in range(g.node_count)]
-        for u in range(g.node_count):
-            for w in range(g.node_count):
-                for v in range(g.node_count):
-                    if UNREACHABLE in (rows[u][w], rows[w][v]):
-                        continue
-                    assert rows[u][v] != UNREACHABLE
-                    assert rows[u][v] <= rows[u][w] + rows[w][v]
+        for result, (u, v) in itertools.product(self.both_modes(g), id_pairs(g)):
+            reach = result.reachable[u]
+            assert result.reachable[v] == reach
+            assert abs(result.eccentricity[u] - result.eccentricity[v]) <= 1
+            assert abs(result.distance_sum[u] - result.distance_sum[v]) <= reach - 2
 
 
 class TestEdgeCsv:

@@ -63,3 +63,66 @@ def test_sweep_matches_oracles(graph, data, threads):
                 assert np.allclose(result.betweenness_raw, want_raw, atol=1e-9, rtol=0)
             else:
                 assert result.betweenness_raw is None
+
+
+def assert_aggregates(result, sources, eccentricity, distance_sum, reachable):
+    for i, s in enumerate(sources):
+        assert (result.eccentricity[i], result.distance_sum[i], result.reachable[i]) == (
+            eccentricity(s), distance_sum(s), reachable(s)), s
+
+
+@pytest.mark.parametrize("betweenness", [False, True])
+def test_long_path_and_cycle_closed_forms(betweenness):
+    """Thousands of levels of one or two frontier nodes each, where every
+    dependency sum is an exact integer."""
+    n = 3000
+    sources = [0, 1499, 2999, 1499, 7]
+    indptr, adjacency = csr(n, [(v, v + 1) for v in range(n - 1)])
+    result = _sweep.sweep(indptr, adjacency, n, np.array(sources),
+                          betweenness=betweenness, threads=1)
+    assert_aggregates(result, sources, lambda v: max(v, n - 1 - v),
+                      lambda v: (v * (v + 1) + (n - 1 - v) * (n - v)) // 2, lambda v: n)
+    if betweenness:
+        # v lies inside the path from s to every node beyond v
+        want = [sum(n - 1 - v if s < v else v for s in sources if s != v) for v in range(n)]
+        assert result.betweenness_raw.tolist() == want
+
+    n = 3001  # odd: every shortest path is unique
+    half = (n - 1) // 2
+    sources = [0, 1500, 3000, 0]
+    indptr, adjacency = csr(n, [(v, (v + 1) % n) for v in range(n)])
+    result = _sweep.sweep(indptr, adjacency, n, np.array(sources),
+                          betweenness=betweenness, threads=1)
+    assert_aggregates(result, sources, lambda v: half, lambda v: half * (half + 1),
+                      lambda v: n)
+    if betweenness:
+        # v lies inside the path from s to every node up to half away from s
+        # on v's side
+        want = [sum(half - min(abs(s - v), n - abs(s - v)) for s in sources if s != v)
+                for v in range(n)]
+        assert result.betweenness_raw.tolist() == want
+
+
+def test_batch_boundaries_at_real_chunk():
+    """More than CHUNK representatives, so the bit-parallel sweep fills four
+    words and leaves a partial last batch, with repeats at word edges."""
+    ring = 300
+    twins = (ring, ring + 1)  # N[a] = N[b] = {0, a, b}
+    pairs = [(v, (v + 1) % ring) for v in range(ring)] + [(0, twins[0]), (0, twins[1]), twins]
+    n = ring + 2 + 3  # three isolated nodes: zero-length CSR rows
+    # scatter the ids, so that empty rows sit between non-empty ones
+    perm = np.random.default_rng(239).permutation(n)
+    pairs = sorted((min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in pairs)
+    indptr, adjacency = csr(n, pairs)
+    reps = np.unique(_sweep.closed_twin_representatives(indptr, adjacency, n))
+    assert _sweep.CHUNK == 256 and reps.size == n - 1
+    # a source's bit is its representative's rank, so these repeat bits 0,
+    # 63, 64 and 255: the ends of word 0, the start of word 1, the end of word 3
+    sources = list(range(n)) + reps[[0, 63, 64, 255, 63]].tolist()
+    dist = floyd_warshall(n, pairs)
+    finite = [[d for d in row if d < INF] for row in dist]
+    for betweenness in (False, True):
+        result = _sweep.sweep(indptr, adjacency, n, np.array(sources),
+                              betweenness=betweenness, threads=2)
+        assert_aggregates(result, sources, lambda s: max(finite[s]),
+                          lambda s: sum(finite[s]), lambda s: len(finite[s]))
