@@ -6,16 +6,21 @@ vector, which is zero on their whole class.  Clique expansion makes them
 common, so :func:`sweep` runs one BFS per twin class and weights its
 dependencies by how many requested sources the class holds.
 
-A distance-only sweep is a bit-parallel multi-source BFS (MS-BFS; Then et
-al., "The More the Merrier: Efficient Multi-Source Graph Traversal", VLDB
-2015) in this process: ``CHUNK`` representatives share one traversal, each
+Both sweeps walk the graph with one bit-parallel multi-source BFS (MS-BFS;
+Then et al., "The More the Merrier: Efficient Multi-Source Graph
+Traversal", VLDB 2015): ``CHUNK`` representatives share one traversal, each
 owning one bit of every node's words, and all of them advance one level per
-whole-array operation.
+whole-array operation.  A distance-only sweep needs nothing more and runs in
+this process.
 
-A Brandes sweep runs one level-synchronous numpy BFS per representative.
-Representatives are split into fixed-size chunks that forked worker
-processes sweep; partial results are reduced in ascending chunk order, so
-numbers come out bit-identical no matter how many workers run the chunks.
+A Brandes sweep (Brandes, "A faster algorithm for betweenness centrality",
+J. Math. Sociol. 2001) also has the MS-BFS record every node's level from
+every source of a chunk.  Each source's shortest-path DAG is then read off
+the CSR by comparing levels, and its path counts and dependencies are summed
+level by level, in the order a top-down BFS with a sorted frontier would
+give.  Chunks are swept by forked worker processes, and partial results are
+reduced in ascending chunk order, so numbers come out bit-identical no
+matter how many workers run the chunks.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CHUNK = 256
+_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
 
 @dataclass(frozen=True)
@@ -56,81 +62,33 @@ def gather_rows(indptr: np.ndarray, adjacency: np.ndarray, rows: np.ndarray):
     return adjacency[offsets + np.arange(offsets.size)], counts
 
 
-def bfs(indptr, adjacency, dist: np.ndarray, sigma: np.ndarray, source: int):
-    """Level-synchronous BFS from ``source`` for Brandes' dependency pass.
-
-    Fills ``dist`` (all -1 on entry) and counts shortest paths into ``sigma``
-    (all 0 on entry).  Returns ``(eccentricity, distance_sum, reached,
-    level_edges)``, where ``level_edges`` lists each level's ``(tails,
-    heads)`` edges.
-    """
-    dist[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
-    level = total = 0
-    reached = 1
-    level_edges: list[tuple[np.ndarray, np.ndarray]] = []
-    while True:
-        neighbors, counts = gather_rows(indptr, adjacency, frontier)
-        unseen = dist[neighbors] == -1
-        fresh = neighbors[unseen]
-        tails = np.repeat(frontier, counts)[unseen]
-        # the frontier is kept sorted, which fixes the Brandes edge arrays and
-        # so the order in which dependencies are summed.  A sort plus a repeat
-        # mask gives np.unique's array faster, and its cost follows the
-        # frontier: marking dist and scanning all n nodes would be quadratic
-        # on a path
-        frontier = np.sort(fresh)
-        distinct = np.ones(frontier.size, dtype=bool)
-        np.not_equal(frontier[1:], frontier[:-1], out=distinct[1:])
-        frontier = frontier[distinct]
-        if frontier.size == 0:
-            return level, total, reached, level_edges
-        level += 1
-        dist[frontier] = level
-        total += level * frontier.size
-        reached += frontier.size
-        sigma += np.bincount(fresh, weights=sigma[tails], minlength=sigma.size)
-        level_edges.append((tails, fresh))
+def _level_matrix(k: int, node_count: int) -> np.ndarray:
+    """A ``(k, node_count)`` array of -1 for :func:`_ms_bfs` to fill: int16
+    while every level and level + 1 fit, else int32."""
+    small = node_count <= np.iinfo(np.int16).max
+    return np.full((k, node_count), -1, dtype=np.int16 if small else np.int32)
 
 
-def _chunk_sweep(indptr, adjacency, node_count, sources, weights):
-    """Brandes over one chunk; ``weights[i]`` scales the dependencies of ``sources[i]``."""
-    k = sources.size
-    ecc = np.zeros(k, dtype=np.int64)
-    dist_sum = np.zeros(k, dtype=np.int64)
-    reach = np.zeros(k, dtype=np.int64)
-    raw = np.zeros(node_count, dtype=np.float64)
-    sigma = np.zeros(node_count, dtype=np.float64)
-    dist = np.empty(node_count, dtype=np.int64)
-
-    for i, s in enumerate(sources.tolist()):
-        dist.fill(-1)
-        sigma.fill(0.0)
-        ecc[i], dist_sum[i], reach[i], level_edges = bfs(indptr, adjacency, dist, sigma, s)
-        delta = np.zeros(node_count, dtype=np.float64)
-        for tails, heads in reversed(level_edges):
-            contrib = sigma[tails] / sigma[heads] * (1.0 + delta[heads])
-            delta += np.bincount(tails, weights=contrib, minlength=node_count)
-        delta[s] = 0.0
-        raw += weights[i] * delta
-    return ecc, dist_sum, reach, raw
-
-
-def _distance_batch(indptr, adjacency, node_count, batch):
+def _ms_bfs(indptr, adjacency, node_count, batch, levels=None):
     """MS-BFS from every node of ``batch`` at once; returns per-source
     ``(eccentricity, distance_sum, reached)``.
 
     Bit ``i`` of a node's ``uint64`` words is set once ``batch[i]`` has
     reached it.  A level ORs, for every node with edges, the frontier words
     of its neighbours (one ``reduceat`` over the CSR rows), then keeps the
-    bits not seen before.  Sources must be distinct.
+    bits not seen before.  Sources must be distinct.  ``levels``, when
+    given, is a ``(k, node_count)`` array of -1 that receives every reached
+    node's distance from each source, row ``i`` for ``batch[i]``: a level
+    adds ``level + 1`` where a bit is new, read source-major straight from
+    the bytes of ``fresh``.
     """
     k = batch.size
     bit = np.arange(k)
     seen = np.zeros((node_count, (k + 63) // 64), dtype=np.uint64)
     np.bitwise_or.at(seen, (batch, bit >> 6),
                      np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
+    if levels is not None:
+        levels[bit, batch] = 0
     rows = np.flatnonzero(np.diff(indptr))
     starts = indptr[rows]
     frontier = seen.copy()
@@ -142,19 +100,67 @@ def _distance_batch(indptr, adjacency, node_count, batch):
         fresh = np.zeros_like(seen)
         fresh[rows] = np.bitwise_or.reduceat(frontier[adjacency], starts, axis=0)
         fresh &= ~seen
-        active = fresh[fresh.any(axis=1)]
-        if active.size == 0:
+        gained = np.flatnonzero(fresh.any(axis=1))
+        if gained.size == 0:
             return ecc, total, reached
         level += 1
         seen |= fresh
         # little-endian bytes, so bit i of the unpacked row is source i
-        bits = np.unpackbits(active.astype("<u8", copy=False).view(np.uint8),
-                             axis=1, bitorder="little")
+        octets = fresh.astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(octets[gained], axis=1, bitorder="little")
         counts = bits.sum(axis=0, dtype=np.int64)[:k]
         ecc[counts > 0] = level
         total += level * counts
         reached += counts
+        if levels is not None:
+            # byte j of a row holds sources 8j..8j+7, so shifting the
+            # byte-major copy gives the rows of levels in order; one word of
+            # sources at a time keeps the temporaries small
+            by_byte = np.ascontiguousarray(octets.T)
+            for w in range(0, k, 64):
+                word = levels[w:w + 64]
+                bits = (by_byte[w // 8:w // 8 + 8, None, :] >> _SHIFTS) & np.uint8(1)
+                word += np.multiply(bits.reshape(64, node_count)[:len(word)], level + 1,
+                                    dtype=word.dtype)
         frontier = fresh
+
+
+def _chunk_sweep(indptr, adjacency, node_count, sources, weights):
+    """Brandes over one chunk; ``weights[i]`` scales the dependencies of ``sources[i]``.
+
+    One MS-BFS pass gives every node's level from every source of the chunk.
+    The shortest-path DAG of a source is then the CSR entries whose head
+    sits one level below their tail.  A stable sort by the tail's level
+    splits them into levels, each in CSR order (tail ascending, then the
+    row's order), which is the order a top-down BFS with a sorted frontier
+    meets them in; so every ``bincount`` adds the same terms in the same
+    order.
+    """
+    n = node_count
+    levels = _level_matrix(sources.size, n)
+    ecc, dist_sum, reach = _ms_bfs(indptr, adjacency, n, sources, levels)
+    owner = np.repeat(np.arange(n), np.diff(indptr))
+    head_of = adjacency.astype(np.intp)  # numpy indexes fastest with intp
+    raw = np.zeros(n, dtype=np.float64)
+    for i, s in enumerate(sources.tolist()):
+        lv = levels[i]
+        tail_level = lv[owner]
+        dag = np.flatnonzero(lv[head_of] == tail_level + 1)
+        dag = dag[np.argsort(tail_level[dag], kind="stable")]
+        cuts = np.searchsorted(tail_level[dag], np.arange(ecc[i] + 1)).tolist()
+        tails, heads = owner[dag], head_of[dag]
+        level_edges = [(tails[a:b], heads[a:b]) for a, b in zip(cuts, cuts[1:])]
+        sigma = np.zeros(n, dtype=np.float64)
+        sigma[s] = 1.0
+        for t, h in level_edges:
+            sigma += np.bincount(h, weights=sigma[t], minlength=n)
+        delta = np.zeros(n, dtype=np.float64)
+        for t, h in reversed(level_edges):
+            contrib = sigma[t] / sigma[h] * (1.0 + delta[h])
+            delta += np.bincount(t, weights=contrib, minlength=n)
+        delta[s] = 0.0
+        raw += weights[i] * delta
+    return ecc, dist_sum, reach, raw
 
 
 def closed_twin_representatives(indptr, adjacency, node_count: int) -> np.ndarray:
@@ -250,7 +256,7 @@ def sweep(indptr, adjacency, node_count: int, sources: np.ndarray, *,
         for p in parts:
             raw += p[3]
     else:
-        parts = [_distance_batch(indptr, adjacency, node_count, reps[i:i + CHUNK])
+        parts = [_ms_bfs(indptr, adjacency, node_count, reps[i:i + CHUNK])
                  for i in batches]
 
     ecc, dist_sum, reach = (np.concatenate([p[j] for p in parts])[slot] for j in range(3))

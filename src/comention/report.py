@@ -292,6 +292,24 @@ def read_graphml(path) -> Graph:
     return build_graph(pairs)
 
 
+def _graphml_node_names(path) -> list[str]:
+    """Node names of a graph written by :func:`export_graphml`, in its node
+    order.  That writer lists every node before the first edge, so reading
+    stops there."""
+    names = []
+    try:
+        with open(path, "rb") as fh:
+            for _, el in ET.iterparse(fh):
+                tag = el.tag.rsplit("}", 1)[-1]
+                if tag == "data" and el.get("key") == "d_name":
+                    names.append(el.text or "")
+                elif tag == "edge":
+                    break
+    except ET.ParseError as exc:
+        raise DataError(f"{path}: not well-formed XML: {exc}") from exc
+    return names
+
+
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -658,14 +676,15 @@ _UNCOMPUTABLE = (OSError, DataError, KeyError, ValueError, TypeError, AttributeE
 class RecordedRun(PipelineRun):
     """A finished run read back from its directory.
 
-    The graph comes from edges.csv, the partition from partition.csv, the
-    scores from centrality.csv (degree from the graph) and the diameter from
-    one distance-only sweep, so no community detection, eigenvector
-    iteration or Brandes sweep runs again.  That sweep is bit-parallel and
-    runs in this process: only the Brandes sweep starts worker processes,
-    and ``config.threads`` never changes a byte.  Every other product, and
-    every file a writer renders into ``config.out_dir``, is
-    :class:`PipelineRun`'s own.
+    The graph comes from edges.csv, the partition from partition.csv (whose
+    rows must follow the node order of graph.graphml, the order the run
+    writes them in), the scores from centrality.csv (degree from the graph)
+    and the diameter from one distance-only sweep, so no community
+    detection, eigenvector iteration or Brandes sweep runs again.  That
+    sweep is bit-parallel and runs in this process: only the Brandes sweep
+    starts worker processes, and ``config.threads`` never changes a byte.
+    Every other product, and every file a writer renders into
+    ``config.out_dir``, is :class:`PipelineRun`'s own.
     """
 
     def __init__(self, run_dir: Path, config: PipelineConfig):
@@ -682,8 +701,8 @@ class RecordedRun(PipelineRun):
 
     @cached_property
     def partition(self) -> Partition:
-        return Partition.from_labels(
-            [int(row[0]) for row in self._per_node(F_PARTITION, ["community"])])
+        rows = self._per_node(F_PARTITION, ["community"], in_node_order=True)
+        return Partition.from_labels([int(row[0]) for row in rows])
 
     @cached_property
     def bundle(self) -> centrality_mod.CentralityBundle:
@@ -693,11 +712,17 @@ class RecordedRun(PipelineRun):
             degree=centrality_mod.degree_centrality(self.graph), eccentricity=None,
             **dict(zip(measures, columns)))
 
-    def _per_node(self, filename: str, columns: list[str]) -> list[list[str]]:
-        """``columns`` of a table with one row per graph node, in node id order."""
+    def _per_node(self, filename: str, columns: list[str],
+                  in_node_order: bool = False) -> list[list[str]]:
+        """``columns`` of a table with one row per graph node, in node id order.
+
+        With ``in_node_order`` the file's rows must also come in the run's
+        node order, the order in which graph.graphml lists the nodes.
+        """
         path = self.run_dir / filename
         index = self.graph.name_to_id
         rows: list = [None] * len(index)
+        names = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             for row in csv.DictReader(fh):
                 v = index.get(row["name"])
@@ -706,8 +731,16 @@ class RecordedRun(PipelineRun):
                 if rows[v] is not None:
                     raise DataError(f"{path}: {row['name']!r} is listed twice")
                 rows[v] = [row[c] for c in columns]
+                names.append(row["name"])
         if None in rows:
             raise DataError(f"{path}: {rows.count(None)} graph nodes missing")
+        if in_node_order:
+            order = _graphml_node_names(self.run_dir / F_GRAPHML)
+            if names != order:
+                first = next((i for i, pair in enumerate(zip(names, order))
+                              if pair[0] != pair[1]), min(len(names), len(order)))
+                raise DataError(f"{path}: rows are not in the node order of {F_GRAPHML}, "
+                                f"first at row {first + 1}")
         return rows
 
 

@@ -531,6 +531,34 @@ class TestAuditCommand:
         assert not any("file:" in line for line in failed), failed
         assert "Traceback" not in err
 
+    def test_swapped_partition_rows_fail(self, tmp_path, clean_run, capsys):
+        """partition.csv lists nodes in the order graph.graphml does.  (A swap in
+        centrality.csv, which is in rank order, fails its re-rendering.)"""
+        def edit(rows):
+            rows[1], rows[2] = rows[2], rows[1]
+
+        rc, failed, err = audit_copy(clean_run, tmp_path,
+                                     lambda out: redigest(out, "partition.csv", edit), capsys)
+        assert rc == 2
+        assert any("partition:" in line and "node order of graph.graphml" in line
+                   for line in failed), failed
+        assert not any("file:" in line for line in failed), failed
+        assert "Traceback" not in err
+
+    def test_malformed_graphml_fails(self, tmp_path, clean_run, capsys):
+        def damage(out):
+            path = out / "graph.graphml"
+            path.write_bytes(path.read_bytes()[:200])
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            manifest["files"]["graph.graphml"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+        rc, failed, err = audit_copy(clean_run, tmp_path, damage, capsys)
+        assert rc == 2
+        assert any("partition:" in line and "not well-formed XML" in line
+                   for line in failed), failed
+        assert "Traceback" not in err
+
     def test_audit_only_reads(self, tmp_path, clean_run, capsys, monkeypatch):
         """No product the run wrote is recomputed, and the run directory is left as it was."""
         def forbidden(*args, **kwargs):

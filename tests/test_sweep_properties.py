@@ -65,6 +65,40 @@ def test_sweep_matches_oracles(graph, data, threads):
                 assert result.betweenness_raw is None
 
 
+# components 0 | 1-2 | triangle 3-4-5 with tail 5-6 | path 7..11 | 12.  Nodes 1
+# and 2, and 3 and 4, are closed twins, which leaves 11 representatives
+SCATTERED = (13, [(1, 2), (3, 4), (3, 5), (4, 5), (5, 6), (7, 8), (8, 9), (9, 10), (10, 11)])
+
+
+@pytest.mark.parametrize("chunk", [2, 5])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_brandes_chunks_across_components(chunk, threads):
+    """Chunks mixing an isolated source, a two-node component's source and
+    sources of several components, then a last chunk of one isolated source."""
+    n, pairs = SCATTERED
+    indptr, adjacency = csr(n, pairs)
+    reps = np.unique(_sweep.closed_twin_representatives(indptr, adjacency, n))
+    # the first chunk opens with isolated 0 and the 1-2 component's 1
+    assert reps[:2].tolist() == [0, 1] and reps.size % chunk == 1 and reps[-1] == 12
+    sources = list(range(n)) + [2, 0, 6]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_sweep, "CHUNK", chunk)
+        result = _sweep.sweep(indptr, adjacency, n, np.array(sources),
+                              betweenness=True, threads=threads)
+    finite = [[d for d in row if d < INF] for row in floyd_warshall(n, pairs)]
+    assert_aggregates(result, sources, lambda s: max(finite[s]),
+                      lambda s: sum(finite[s]), lambda s: len(finite[s]))
+    want = sum(dependency_oracle(n, pairs, s) for s in sources)
+    assert np.allclose(result.betweenness_raw, want, atol=1e-9, rtol=0)
+
+
+def test_level_matrix_type():
+    """int16 while every level and level + 1 fit, int32 beyond."""
+    assert _sweep._level_matrix(2, 32767).dtype == np.int16
+    assert _sweep._level_matrix(2, 32768).dtype == np.int32
+    assert (_sweep._level_matrix(2, 5) == -1).all()
+
+
 def assert_aggregates(result, sources, eccentricity, distance_sum, reachable):
     for i, s in enumerate(sources):
         assert (result.eccentricity[i], result.distance_sum[i], result.reachable[i]) == (
@@ -86,6 +120,12 @@ def test_long_path_and_cycle_closed_forms(betweenness):
         # v lies inside the path from s to every node beyond v
         want = [sum(n - 1 - v if s < v else v for s in sources if s != v) for v in range(n)]
         assert result.betweenness_raw.tolist() == want
+        # levels run far past the int8 range: 2999 from either end
+        distinct = np.array(sorted(set(sources)))
+        levels = _sweep._level_matrix(distinct.size, n)
+        _sweep._ms_bfs(indptr, adjacency, n, distinct, levels)
+        assert levels.dtype == np.int16
+        assert (levels == np.abs(np.arange(n) - distinct[:, None])).all()
 
     n = 3001  # odd: every shortest path is unique
     half = (n - 1) // 2
