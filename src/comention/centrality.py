@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,19 @@ class CentralityBundle:
     eigenvector: np.ndarray
     clustering: np.ndarray
     eccentricity: np.ndarray
+    _written: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def by_name(self, measure: str) -> np.ndarray:
         if measure not in MEASURES and measure != "clustering":
             raise DataError(f"unknown measure {measure!r}")
         return getattr(self, measure)
+
+    def written(self, measure: str) -> np.ndarray:
+        """A measure's scores :func:`as_written`, formatted once per bundle."""
+        if measure not in self._written:
+            self._written[measure] = np.array(
+                [as_written(score) for score in self.by_name(measure).tolist()])
+        return self._written[measure]
 
 
 def degree_centrality(g: Graph) -> np.ndarray:
@@ -178,10 +186,14 @@ def as_written(score) -> float:
     return float(format(float(score), FLOAT_FORMAT))
 
 
-def rank(g: Graph, scores, nodes=None) -> list[int]:
-    """Node ids by score :func:`as_written` descending, ties broken by name ascending."""
-    nodes = range(g.node_count) if nodes is None else nodes
-    return sorted(nodes, key=lambda v: (-as_written(scores[v]), g.names[v]))
+def rank(g: Graph, written: np.ndarray, nodes=None) -> list[int]:
+    """Node ids by written score descending, ties broken by name ascending.
+
+    ``written`` holds every node's score :func:`as_written`, as
+    :meth:`CentralityBundle.written` gives it.
+    """
+    nodes = np.arange(g.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
+    return nodes[np.lexsort((g.name_order[nodes], -written[nodes]))].tolist()
 
 
 def top_k(g: Graph, bundle: CentralityBundle, measure: str, k: int = 10) -> list[str]:
@@ -190,7 +202,7 @@ def top_k(g: Graph, bundle: CentralityBundle, measure: str, k: int = 10) -> list
         raise DataError(f"measure must be one of {MEASURES}, got {measure!r}")
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
-    return [g.names[v] for v in rank(g, bundle.by_name(measure))[:k]]
+    return [g.names[v] for v in rank(g, bundle.written(measure))[:k]]
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ def filter_communities(p: Partition, min_size: int = 100) -> list[int]:
 
 def label_communities(g: Graph, p: Partition, bundle: CentralityBundle) -> dict[int, str]:
     """Name each community after its highest-betweenness member (ties: name ascending)."""
-    return {c: g.names[rank(g, bundle.betweenness, p.members(c).tolist())[0]]
+    return {c: g.names[rank(g, bundle.written("betweenness"), p.members(c))[0]]
             for c in range(p.count)}
 
 
@@ -305,5 +305,5 @@ def top_members(g: Graph, p: Partition, bundle: CentralityBundle,
         c = int(c)
         if not 0 <= c < p.count:
             raise DataError(f"unknown community id {c}")
-        out[c] = [g.names[v] for v in rank(g, bundle.betweenness, p.members(c).tolist())[:k]]
+        out[c] = [g.names[v] for v in rank(g, bundle.written("betweenness"), p.members(c))[:k]]
     return out

@@ -6,6 +6,7 @@ import csv
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,6 +46,14 @@ class Graph:
     @cached_property
     def name_to_id(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def name_order(self) -> np.ndarray:
+        """Each node's position among all names sorted ascending."""
+        order = np.empty(self.node_count, dtype=np.int64)
+        order[sorted(range(self.node_count), key=self.names.__getitem__)] = \
+            np.arange(self.node_count)
+        return order
 
     def check_node(self, v: int) -> int:
         v = int(v)
@@ -108,34 +117,30 @@ def build_graph(edges: Iterable[tuple[str, str]]) -> Graph:
     empty or blank name, or when no usable edge survives cleanup.
     """
     index: dict[str, int] = {}
-    seen: set[int] = set()
-    us: list[int] = []
-    vs: list[int] = []
+    intern = index.setdefault
+    ids: list[int] = []  # the two endpoints of every kept pair, flat
     for a, b in edges:
         if not isinstance(a, str) or not isinstance(b, str) or not a or not b:
             raise DataError(f"edge endpoint must be a non-empty string, got ({a!r}, {b!r})")
         if a == b:
             continue
-        ia = index.setdefault(a, len(index))
-        ib = index.setdefault(b, len(index))
-        if ia > ib:
-            ia, ib = ib, ia
-        key = (ia << 32) | ib  # safe: node counts stay far below 2**32
-        if key in seen:
-            continue
-        seen.add(key)
-        us.append(ia)
-        vs.append(ib)
-    if not us:
+        ids += (intern(a, len(index)), intern(b, len(index)))
+    if not ids:
         raise DataError("no usable edges after dropping self-pairs and duplicates")
 
+    # Both directions of every pair packed as (tail << 32) | head (node counts
+    # stay far below 2**32); sorted, a repeated pair is a run of equal keys.
+    ends = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    keys = np.concatenate([(ends[:, 0] << 32) | ends[:, 1], (ends[:, 1] << 32) | ends[:, 0]])
+    keys.sort()
+    fresh = np.empty(keys.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
     n = len(index)
-    src = np.concatenate([np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)])
-    dst = np.concatenate([np.array(vs, dtype=np.int64), np.array(us, dtype=np.int64)])
-    order = np.lexsort((dst, src))
-    adjacency = dst[order].astype(np.int32)
+    adjacency = (keys & 0xFFFFFFFF).astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(keys >> 32, minlength=n), out=indptr[1:])
     names = tuple(index)  # dict preserves insertion order
     return Graph(names=names, indptr=indptr, adjacency=adjacency)
 
@@ -205,13 +210,32 @@ def diameter(g: Graph, *, components: ComponentLabeling | None = None) -> int:
     return int(result.eccentricity.max())
 
 
+def _csv_cells(names) -> list[str]:
+    """Each name as :mod:`csv` writes it in a cell: quoted only where it must be."""
+    written: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=written.append), lineterminator="\n")
+    cells = []
+    for name in names:
+        writer.writerow((name,))
+        cells.append("".join(written)[:-1])
+        written.clear()
+    return cells
+
+
 def write_edge_csv(g: Graph, path) -> None:
-    """Write the edge list as a two-column CSV with a source,target header."""
+    """Write the edge list as a two-column CSV with a source,target header.
+
+    Each name is quoted once; a row is then its two cells joined, in
+    ascending (u, v) id order.
+    """
+    cells = np.array(_csv_cells(g.names), dtype=object)
+    us, vs = g.edge_arrays()
+    rows = np.empty((us.size, 2), dtype=object)
+    rows[:, 0] = (cells + ",")[us]
+    rows[:, 1] = (cells + "\n")[vs]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "target"])
-        for a, b in g.edges():
-            writer.writerow([a, b])
+        fh.write("source,target\n")
+        fh.write("".join(rows.ravel().tolist()))
 
 
 def read_edge_pairs(path) -> list[tuple[str, str]]:

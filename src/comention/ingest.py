@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import itertools
 import json
 import logging
@@ -38,7 +39,7 @@ class ArticleRecord:
     date: str | None = None
 
 
-def _parse_line(payload: str, lineno: int) -> ArticleRecord | None:
+def _parse_line(payload: str, lineno: int, names: dict[str, str]) -> ArticleRecord | None:
     try:
         obj = json.loads(payload)
     except json.JSONDecodeError as exc:
@@ -67,13 +68,15 @@ def _parse_line(payload: str, lineno: int) -> ArticleRecord | None:
     persons_raw = obj.get("persons")
     if not isinstance(persons_raw, list):
         raise DataError(f"line {lineno}: 'persons' must be a list of strings")
-    persons: list[str] = []
+    persons: dict[str, None] = {}  # insertion-ordered set
     for item in persons_raw:
-        if not isinstance(item, str):
+        if not isinstance(item, str):  # before the lookup: a list is unhashable
             raise DataError(f"line {lineno}: person entries must be strings, got {item!r}")
-        name = normalize_name(item)
-        if name and name not in persons:
-            persons.append(name)
+        name = names.get(item)
+        if name is None:
+            name = names[item] = normalize_name(item)
+        if name:
+            persons[name] = None
     if not persons:
         logger.warning("line %d: record %r mentions no usable person, skipping", lineno, rid)
         return None
@@ -90,10 +93,11 @@ def parse_articles(lines: Iterable[str]) -> list[ArticleRecord]:
     left with no persons is skipped with a warning.
     """
     records: list[ArticleRecord] = []
+    names: dict[str, str] = {}  # raw mention -> normalize_name(raw), for this call
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        record = _parse_line(line, lineno)
+        record = _parse_line(line, lineno, names)
         if record is not None:
             records.append(record)
     return records
@@ -107,6 +111,29 @@ def open_text(path, newline=None):
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+@contextmanager
+def collector_paused():
+    """Run the block with Python's cyclic garbage collector paused.
+
+    Ingest builds no reference cycle, but with the collector on, each burst of
+    allocations rescans every record kept so far.  On the way out the
+    collector is restored as it was; if it was on, ``freeze`` + ``unfreeze``
+    first moves every tracked object to the oldest generation without a scan
+    (unless some other code keeps objects frozen), so the young-generation
+    collection that would follow does not scan all that was built once more.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
 
 
 def load_articles(path) -> list[ArticleRecord]:
@@ -171,15 +198,13 @@ def apply_aliases(records: Sequence[ArticleRecord],
     dropped and first-mention order kept.  Applying the same map again is a
     no-op by construction.
     """
+    aliased = aliases.keys()
     out: list[ArticleRecord] = []
     for record in records:
-        folded: list[str] = []
-        for name in record.persons:
-            canonical = aliases.get(name, name)
-            if canonical not in folded:
-                folded.append(canonical)
-        if tuple(folded) != record.persons:
-            record = replace(record, persons=tuple(folded))
+        if not aliased.isdisjoint(record.persons):
+            folded = tuple(dict.fromkeys([aliases.get(name, name) for name in record.persons]))
+            if folded != record.persons:
+                record = replace(record, persons=folded)
         out.append(record)
     return out
 

@@ -24,8 +24,8 @@ from .centrality import FLOAT_FORMAT
 from .errors import DataError
 from .graph import (Graph, build_graph, connected_components, density,
                     diameter as graph_diameter, read_edge_csv, read_edge_pairs, write_edge_csv)
-from .ingest import (apply_aliases, clique_expand, ingest_stats, load_aliases,
-                     load_articles, normalize_name)
+from .ingest import (apply_aliases, clique_expand, collector_paused, ingest_stats,
+                     load_aliases, load_articles, normalize_name)
 from .community import InducedGraph, Partition
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog
 from .typology import (CATEGORIES, assign_types, build_profiles, kmeans,
@@ -180,16 +180,17 @@ class ReportBundle:
 
 def load_input_graph(config: PipelineConfig):
     """Read articles or an edge list per config; returns (graph, records or None)."""
-    aliases = load_aliases(config.aliases) if config.aliases else {}
-    if config.input_format == "articles":
-        records = load_articles(config.input)
+    with collector_paused():
+        aliases = load_aliases(config.aliases) if config.aliases else {}
+        if config.input_format == "articles":
+            records = load_articles(config.input)
+            if aliases:
+                records = apply_aliases(records, aliases)
+            return build_graph(clique_expand(records)), records
+        pairs = read_edge_pairs(config.input)
         if aliases:
-            records = apply_aliases(records, aliases)
-        return build_graph(clique_expand(records)), records
-    pairs = read_edge_pairs(config.input)
-    if aliases:
-        pairs = [(aliases.get(a, a), aliases.get(b, b)) for a, b in pairs]
-    return build_graph(pairs), None
+            pairs = [(aliases.get(a, a), aliases.get(b, b)) for a, b in pairs]
+        return build_graph(pairs), None
 
 
 # ---------------------------------------------------------------- exports
@@ -551,7 +552,7 @@ def write_centrality_files(run: PipelineRun) -> list[str]:
               ([g.names[v], int(bundle.degree[v]), float(bundle.closeness[v]),
                 float(bundle.betweenness[v]), float(bundle.eigenvector[v]),
                 float(bundle.clustering[v])]
-               for v in centrality_mod.rank(g, bundle.betweenness)))
+               for v in centrality_mod.rank(g, bundle.written("betweenness"))))
     table = centrality_mod.top_table(g, bundle, k=run.config.top_k_persons)
     # every column ranks all nodes, so all have one length
     write_csv(run.out / F_TOP10, ["rank", *table.measures],

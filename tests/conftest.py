@@ -10,13 +10,45 @@ import itertools
 
 import numpy as np
 
-from comention import build_graph
+from comention import DataError, build_graph
 
 INF = 1 << 20
 
 
 def graph_from(pairs):
     return build_graph(pairs)
+
+
+def build_graph_oracle(edges):
+    """``(names, indptr, adjacency)`` of the graph ``build_graph`` must build:
+    the set-based dedupe it had before its numpy one.  Ids in first appearance
+    among pairs that are not self-pairs, rows sorted."""
+    index = {}
+    seen = set()
+    us, vs = [], []
+    for a, b in edges:
+        if not isinstance(a, str) or not isinstance(b, str) or not a or not b:
+            raise DataError(f"edge endpoint must be a non-empty string, got ({a!r}, {b!r})")
+        if a == b:
+            continue
+        ia = index.setdefault(a, len(index))
+        ib = index.setdefault(b, len(index))
+        if ia > ib:
+            ia, ib = ib, ia
+        if (ia, ib) in seen:
+            continue
+        seen.add((ia, ib))
+        us.append(ia)
+        vs.append(ib)
+    if not us:
+        raise DataError("no usable edges after dropping self-pairs and duplicates")
+    n = len(index)
+    src = np.array(us + vs, dtype=np.int64)
+    dst = np.array(vs + us, dtype=np.int64)
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return tuple(index), indptr, dst[order].astype(np.int32)
 
 
 def id_pairs(g):

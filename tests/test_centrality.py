@@ -36,7 +36,7 @@ from comention import (
     top_k,
     top_table,
 )
-from comention import _sweep
+from comention import _sweep, centrality
 from comention.graph import Graph
 
 
@@ -297,6 +297,31 @@ class TestTopK:
             )
         ][:3]
         assert top_k(g, bundle, "closeness", k=3) == want
+
+    def test_rank_matches_written_key_sort(self):
+        """Written value descending, then name: ties past the 12 written digits
+        and equal values on nodes listed in any order."""
+        rng = np.random.default_rng(109)
+        names = [f"n{i:02d}" for i in range(40)]
+        g = build_graph([(a, b) for a, b in zip(names, names[1:])][::-1])
+        scores = rng.choice([0.0, 1 / 3, 1 / 3 * (1 + 1e-15), 0.25, 7.0], size=g.node_count)
+        written = fake_bundle(g, betweenness=scores).written("betweenness")
+        nodes = rng.permutation(g.node_count)[:25]
+        for subset in (None, nodes, nodes.tolist()):
+            want = sorted(range(g.node_count) if subset is None else subset,
+                          key=lambda v: (-centrality.as_written(scores[v]), g.names[v]))
+            assert centrality.rank(g, written, subset) == [int(v) for v in want]
+
+    def test_written_formats_each_score_once(self, monkeypatch):
+        g = star(6)
+        bundle = compute_bundle(g)
+        calls = []
+        monkeypatch.setattr(centrality, "as_written",
+                            lambda x: calls.append(x) or float(format(x, ".12g")))
+        first = bundle.written("betweenness")
+        top_table(g, bundle, k=3)
+        assert bundle.written("betweenness") is first
+        assert len(calls) == len(centrality.MEASURES) * g.node_count
 
     def test_invalid_measure_rejected(self):
         g = build_graph([("A", "B")])

@@ -1,9 +1,13 @@
+import csv
+import io
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    build_graph_oracle,
     components_oracle,
     diameter_oracle,
     floyd_warshall,
@@ -19,6 +23,7 @@ from comention import (
     degree_histogram,
     density,
     diameter,
+    normalize_name,
     read_edge_csv,
     write_edge_csv,
 )
@@ -87,6 +92,56 @@ class TestBuildGraph:
         g = build_graph([("C", "A"), ("C", "B"), ("C", "D")])
         nbrs = g.neighbors(0)
         assert (np.sort(nbrs) == nbrs).all()
+
+
+@st.composite
+def pair_streams(draw):
+    """A named pair stream holding at least one of each: a pair repeated
+    reversed, a self-pair of a name before that name's first real pair, and a
+    name met only in self-pairs."""
+    names = [f"v{i}" for i in range(draw(st.integers(2, 8)))]
+    real = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda p: p[0] != p[1])
+    stream = draw(st.lists(real, min_size=1, max_size=30))
+    for a, b in draw(st.lists(st.sampled_from(stream), min_size=1, max_size=10)):
+        stream.insert(draw(st.integers(0, len(stream))), (b, a))
+    used = sorted({name for pair in stream for name in pair})
+    for name in draw(st.lists(st.sampled_from(used), min_size=1, max_size=4)):
+        first = next(i for i, pair in enumerate(stream) if name in pair and pair[0] != pair[1])
+        stream.insert(draw(st.integers(0, first)), (name, name))
+    for i in range(draw(st.integers(1, 3))):
+        stream.insert(draw(st.integers(0, len(stream))), (f"solo{i}", f"solo{i}"))
+    return stream
+
+
+class TestBuildGraphOracle:
+    """``build_graph`` against the set-based dedupe in conftest, array for array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=pair_streams())
+    def test_matches_set_oracle(self, stream):
+        names, indptr, adjacency = build_graph_oracle(stream)
+        g = build_graph(iter(stream))
+        assert g.names == names
+        assert not any(name.startswith("solo") for name in g.names)
+        assert g.indptr.dtype == indptr.dtype and np.array_equal(g.indptr, indptr)
+        assert g.adjacency.dtype == adjacency.dtype and np.array_equal(g.adjacency, adjacency)
+
+    @pytest.mark.parametrize("stream", [
+        [("A", "B"), ("", "C")],
+        [("A", "B"), ("C", "")],
+        [("A", "B"), (None, "C")],
+        [("A", "B"), ("C", 7)],
+        [("A", "B"), ("C", ["D"])],
+        [("A", "A"), ("B", "B")],
+        [],
+    ], ids=["blank-first", "blank-second", "none", "int", "list", "all-self-pairs", "empty"])
+    def test_rejects_like_oracle(self, stream):
+        with pytest.raises(DataError) as want:
+            build_graph_oracle(stream)
+        with pytest.raises(DataError) as got:
+            build_graph(stream)
+        assert str(got.value) == str(want.value)
 
 
 class TestDensity:
@@ -257,6 +312,55 @@ class TestEdgeCsv:
             assert {frozenset(e) for e in back.edges()} == {
                 frozenset(e) for e in g.edges()
             }
+
+    NAMES = ["Smith, J.", 'The "Boss"', "Łukasz Ж", "Ю, \"Q\"", "plain", "Żółć 株"]
+
+    @staticmethod
+    def csv_module_bytes(g):
+        """The file as ``csv.writer(..., lineterminator="\\n")`` writes it row by row."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["source", "target"])
+        for a, b in g.edges():
+            writer.writerow([a, b])
+        return buf.getvalue().encode("utf-8")
+
+    def test_quoted_names_match_csv_module(self, tmp_path):
+        names = self.NAMES
+        g = build_graph([(a, b) for i, a in enumerate(names) for b in names[i + 1:]][::-1])
+        target = tmp_path / "edges.csv"
+        write_edge_csv(g, target)
+        assert target.read_bytes() == self.csv_module_bytes(g)
+        back = read_edge_csv(target)
+        assert back.names == g.names
+        assert np.array_equal(back.indptr, g.indptr)
+        assert np.array_equal(back.adjacency, g.adjacency)
+
+    def test_newline_in_name_is_quoted(self, tmp_path):
+        g = build_graph([("two\nlines", "B"), ("B", 'q"\r\n"'), ("C", "two\nlines")])
+        target = tmp_path / "edges.csv"
+        write_edge_csv(g, target)
+        assert target.read_bytes() == self.csv_module_bytes(g)
+        with open(target, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [list(e) for e in g.edges()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(names=st.lists(st.text(",\"é Ж\nab", min_size=1, max_size=5),
+                          min_size=2, max_size=8, unique=True),
+           data=st.data())
+    def test_random_names_match_csv_module(self, tmp_path_factory, names, data):
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                                   min_size=1, max_size=20))
+        pairs.append((names[0], names[1]))
+        g = build_graph(pairs)
+        target = tmp_path_factory.mktemp("csv") / "edges.csv"
+        write_edge_csv(g, target)
+        assert target.read_bytes() == self.csv_module_bytes(g)
+        if all(normalize_name(name) == name for name in g.names):
+            back = read_edge_csv(target)
+            assert set(back.names) == set(g.names)
+            assert {frozenset(e) for e in back.edges()} == {frozenset(e) for e in g.edges()}
 
     def test_bad_header_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

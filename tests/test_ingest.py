@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import unicodedata
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from comention import (
 )
 from comention.graph import read_edge_pairs
 from comention.ingest import read_name_pairs
+from comention.report import PipelineConfig, load_input_graph
 from comention.typology import load_affiliations
 
 
@@ -94,6 +97,30 @@ class TestParseArticles:
     def test_blank_lines_ignored(self):
         lines = ["", '{"id":"a1","persons":["A","B"]}', "   "]
         assert len(parse_articles(lines)) == 1
+
+    @pytest.mark.parametrize("entry", [["B"], {"name": "B"}, 7, None])
+    def test_non_string_person_carries_line_number(self, entry):
+        bad = json.dumps({"id": "a2", "persons": ["A", entry]})
+        with pytest.raises(DataError, match="line 3: person entries must be strings"):
+            parse_articles(['{"id":"a1","persons":["A","B"]}', "", bad])
+
+    def test_large_article_keeps_first_mention_order(self):
+        """20,000 mentions of 10,000 persons in one article, each person once as
+        written and once as a whitespace or NFD variant."""
+        rng = np.random.default_rng(5)
+        canonical = [f"Pé {i:05d}" for i in range(10_000)]
+        variants = [f"  Pé\t {i:05d} " if i % 2 else unicodedata.normalize("NFD", name)
+                    for i, name in enumerate(canonical)]
+        order = rng.permutation(20_000).tolist()
+        mentions = [canonical[k] if k < 10_000 else variants[k - 10_000] for k in order]
+        want = list(dict.fromkeys(canonical[k % 10_000] for k in order))
+        (rec,) = parse_articles([json.dumps({"id": "big", "persons": mentions})])
+        assert list(rec.persons) == want
+
+        aliases = {name: canonical[i - 1] for i, name in enumerate(canonical) if i % 3 == 1}
+        (folded,) = apply_aliases([rec], aliases)
+        assert list(folded.persons) == list(dict.fromkeys(aliases.get(n, n) for n in want))
+        assert len(folded.persons) == 10_000 - len(aliases)
 
     def test_load_articles_error_includes_path(self, tmp_path):
         bad = tmp_path / "articles.jsonl"
@@ -275,3 +302,45 @@ class TestIngestStats:
             [record("A", "B")], build_graph([("A", "B")])
         )["density"]
         assert stats_density == 1.0
+
+
+class TestLoadInputGraph:
+    """``load_input_graph`` pauses the cyclic collector and leaves it as found."""
+
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @staticmethod
+    def config(tmp_path, lines):
+        path = tmp_path / "articles.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return PipelineConfig(input=str(path), seed=1, out_dir=str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_kept_on_success(self, tmp_path, restore_gc, enabled):
+        (gc.enable if enabled else gc.disable)()
+        g, records = load_input_graph(self.config(tmp_path, [
+            '{"id":"a1","persons":["A","B","C"]}', '{"id":"a2","persons":["C","D"]}']))
+        assert gc.isenabled() is enabled
+        assert (g.node_count, g.edge_count, len(records)) == (4, 4, 2)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_kept_on_data_error(self, tmp_path, restore_gc, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(DataError, match="line 2"):
+            load_input_graph(self.config(tmp_path, [
+                '{"id":"a1","persons":["A","B"]}', '{"id":"a2","persons":["A",["B"]]}']))
+        assert gc.isenabled() is enabled
+
+    def test_objects_frozen_elsewhere_stay_frozen(self, tmp_path, restore_gc):
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            load_input_graph(self.config(tmp_path, ['{"id":"a1","persons":["A","B"]}']))
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
