@@ -50,18 +50,6 @@ class SweepResult:
     betweenness_raw: np.ndarray | None
 
 
-def gather_rows(indptr: np.ndarray, adjacency: np.ndarray, rows: np.ndarray):
-    """Concatenate the adjacency rows of ``rows``.
-
-    Returns ``(neighbors, counts)`` where ``counts[i]`` is the length of row
-    ``rows[i]``, so ``np.repeat(rows, counts)`` names the row of each neighbor.
-    """
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return adjacency[offsets + np.arange(offsets.size)], counts
-
-
 def _level_matrix(k: int, node_count: int) -> np.ndarray:
     """A ``(k, node_count)`` array of -1 for :func:`_ms_bfs` to fill: int16
     while every level and level + 1 fit, else int32."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._sweep import gather_rows, sweep
+from ._sweep import sweep
 from .errors import ConvergenceError, DataError
 from .graph import ComponentLabeling, Graph, connected_components
 
@@ -130,18 +130,38 @@ def clustering_coefficient(g: Graph) -> np.ndarray:
     """Fraction of realized links among each node's neighbors.
 
     2 * triangles(v) / (deg (deg - 1)); nodes of degree < 2 score 0.
+    Triangles are counted once each, at their lowest corner in (degree, id)
+    order (Schank & Wagner, WEA 2005): every CSR entry is oriented toward
+    its higher end, each pair of a node's forward neighbours is looked up
+    among the sorted ``tail * n + head`` keys of the CSR, and each hit
+    counts for all three corners.  Orienting bounds a node's forward
+    neighbours by sqrt(2m), so a hub lists no pairs of its leaves.
     """
     n = g.node_count
-    out = np.zeros(n, dtype=np.float64)
     degrees = g.degrees
-    for v in range(n):
-        d = int(degrees[v])
-        if d < 2:
-            continue
-        row = g.neighbors(v)
-        two_hop, _ = gather_rows(g.indptr, g.adjacency, row.astype(np.int64))
-        links = int(np.isin(two_hop, row).sum())  # each neighbor pair edge seen twice
-        out[v] = links / (d * (d - 1.0))
+    tails = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    heads = g.adjacency.astype(np.int64)
+    position = np.empty(n, dtype=np.int64)
+    position[np.argsort(degrees, kind="stable")] = np.arange(n)
+    forward = position[heads] > position[tails]
+    ftails, fheads = tails[forward], heads[forward]
+    # entry i pairs with the later entries of its row: i+1 .. row end - 1
+    row_end = np.cumsum(np.bincount(ftails, minlength=n))[ftails]
+    later = row_end - np.arange(ftails.size) - 1
+    first = np.repeat(np.arange(ftails.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    # rows are sorted, so the keys of the whole CSR are sorted too
+    keys = tails * n + heads
+    wanted = fheads[first] * n + fheads[second]
+    found = np.searchsorted(keys, wanted)
+    hit = keys[np.minimum(found, keys.size - 1)] == wanted
+    first, second = first[hit], second[hit]
+    triangles = np.bincount(np.concatenate([ftails[first], fheads[first], fheads[second]]),
+                            minlength=n)
+    out = np.zeros(n, dtype=np.float64)
+    wedged = degrees > 1
+    d = degrees[wedged]
+    out[wedged] = 2 * triangles[wedged] / (d * (d - 1.0))
     return out
 
 

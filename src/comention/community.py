@@ -79,6 +79,7 @@ def _one_level(indptr, adjacency, weights, loops, total_weight, resolution,
     rows = [list(zip(nbr[ptr[v]:ptr[v + 1]], wt[ptr[v]:ptr[v + 1]])) for v in range(n)]
     comm = list(range(n))
     comm_tot = k.copy()
+    two_m = 2.0 * total_weight
     order = list(range(n))
     rng.shuffle(order)
 
@@ -93,14 +94,15 @@ def _one_level(indptr, adjacency, weights, loops, total_weight, resolution,
                 cu = comm[u]
                 weight_to[cu] = weight_to.get(cu, 0.0) + w
             comm_tot[cv] -= kv
-            stay_gain = weight_to.get(cv, 0.0) - resolution * comm_tot[cv] * kv / (2.0 * total_weight)
+            stay_gain = weight_to.get(cv, 0.0) - resolution * comm_tot[cv] * kv / two_m
             best_c = cv
             best_gain = stay_gain
-            for c in sorted(weight_to):  # ascending id so ties pick the lowest
-                if c == cv:
-                    continue
-                gain = weight_to[c] - resolution * comm_tot[c] * kv / (2.0 * total_weight)
-                if gain > best_gain and (gain - stay_gain) / total_weight > 1e-12:
+            # the highest gain wins, the lowest id among equal gains; cv's own
+            # entry reproduces stay_gain, which never passes the 1e-12 test
+            for c, w in weight_to.items():
+                gain = w - resolution * comm_tot[c] * kv / two_m
+                if (gain > best_gain or gain == best_gain and c < best_c) \
+                        and (gain - stay_gain) / total_weight > 1e-12:
                     best_c = c
                     best_gain = gain
             comm_tot[best_c] += kv

@@ -65,10 +65,6 @@ class Graph:
         v = self.check_node(v)
         return self.adjacency[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree_of(self, v: int) -> int:
-        v = self.check_node(v)
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Every undirected edge once, as parallel (u, v) arrays with u < v."""
         src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
@@ -80,15 +76,6 @@ class Graph:
         us, vs = self.edge_arrays()
         for u, v in zip(us.tolist(), vs.tolist()):
             yield self.names[u], self.names[v]
-
-    def has_edge(self, a: str, b: str) -> bool:
-        ia = self.name_to_id.get(a)
-        ib = self.name_to_id.get(b)
-        if ia is None or ib is None:
-            return False
-        row = self.neighbors(ia)
-        pos = np.searchsorted(row, ib)
-        return pos < row.size and row[pos] == ib
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,6 +75,11 @@ def _parse_line(payload: str, lineno: int, names: dict[str, str]) -> ArticleReco
         name = names.get(item)
         if name is None:
             name = names[item] = normalize_name(item)
+            try:  # a \ud800 escape gives a lone surrogate, which UTF-8 cannot hold
+                name.isascii() or name.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DataError(f"line {lineno}: person name {item!r} is not valid "
+                                f"Unicode: {exc.reason}") from exc
         if name:
             persons[name] = None
     if not persons:

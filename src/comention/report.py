@@ -201,61 +201,62 @@ GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 def export_graphml(obj, path) -> None:
     """Serialize a plain or induced graph as GraphML."""
     if isinstance(obj, Graph):
-        _graph_to_graphml(obj, path)
+        us, vs = obj.edge_arrays()
+        _write_graphml(
+            path, "G", [("d_name", "node", "name", "string")],
+            [(f'id="n{v}"', (("d_name", name),)) for v, name in enumerate(obj.names)],
+            [(f'id="e{i}" source="n{u}" target="n{v}"', ())
+             for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist()))])
     elif isinstance(obj, InducedGraph):
-        _induced_to_graphml(obj, path)
+        _write_graphml(
+            path, "induced",
+            [("d_label", "node", "label", "string"), ("d_size", "node", "size", "long"),
+             ("d_intra", "node", "intra_weight", "long"),
+             ("d_btw", "node", "mean_betweenness", "double"),
+             ("d_weight", "edge", "weight", "long")],
+            [(f'id="c{c}"', (("d_label", obj.labels[c]), ("d_size", str(obj.sizes[c])),
+                             ("d_intra", str(obj.intra_weights[c])),
+                             ("d_btw", fmt(obj.mean_betweenness[c]))))
+             for c in obj.community_ids],
+            [(f'id="e{i}" source="c{a}" target="c{b}"', (("d_weight", str(w)),))
+             for i, (a, b, w) in enumerate(obj.edges)])
     else:
         raise DataError(f"cannot export {type(obj).__name__} as GraphML")
 
 
-def _graphml_key(root, key_id, target, name, kind):
-    ET.SubElement(root, "key", attrib={
-        "id": key_id, "for": target, "attr.name": name, "attr.type": kind})
+def _write_graphml(path, graph_id: str, keys, nodes, edges) -> None:
+    """Write GraphML with the bytes that ElementTree's ``indent`` and
+    ``write`` give.
 
-
-def _write_xml(root, path) -> None:
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="UTF-8", xml_declaration=True)
-    with open(path, "ab") as fh:
-        fh.write(b"\n")
-
-
-def _graph_to_graphml(g: Graph, path) -> None:
-    root = ET.Element("graphml", xmlns=GRAPHML_NS)
-    _graphml_key(root, "d_name", "node", "name", "string")
-    container = ET.SubElement(root, "graph", id="G", edgedefault="undirected")
-    for v, name in enumerate(g.names):
-        node = ET.SubElement(container, "node", id=f"n{v}")
-        data = ET.SubElement(node, "data", key="d_name")
-        data.text = name
-    us, vs = g.edge_arrays()
-    for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-        ET.SubElement(container, "edge", id=f"e{i}", source=f"n{u}", target=f"n{v}")
-    _write_xml(root, path)
-
-
-def _induced_to_graphml(ig: InducedGraph, path) -> None:
-    root = ET.Element("graphml", xmlns=GRAPHML_NS)
-    _graphml_key(root, "d_label", "node", "label", "string")
-    _graphml_key(root, "d_size", "node", "size", "long")
-    _graphml_key(root, "d_intra", "node", "intra_weight", "long")
-    _graphml_key(root, "d_btw", "node", "mean_betweenness", "double")
-    _graphml_key(root, "d_weight", "edge", "weight", "long")
-    container = ET.SubElement(root, "graph", id="induced", edgedefault="undirected")
-    for c in ig.community_ids:
-        node = ET.SubElement(container, "node", id=f"c{c}")
-        for key, value in (("d_label", ig.labels[c]), ("d_size", ig.sizes[c]),
-                           ("d_intra", ig.intra_weights[c]),
-                           ("d_btw", fmt(ig.mean_betweenness[c]))):
-            data = ET.SubElement(node, "data", key=key)
-            data.text = str(value)
-    for i, (a, b, w) in enumerate(ig.edges):
-        edge = ET.SubElement(container, "edge", id=f"e{i}",
-                             source=f"c{a}", target=f"c{b}")
-        data = ET.SubElement(edge, "data", key="d_weight")
-        data.text = str(w)
-    _write_xml(root, path)
+    ``keys`` holds (id, for, attr.name, attr.type) per data key; ``nodes``
+    and ``edges`` hold (attributes as written, data) per element, data being
+    (key, text) pairs.  Text is escaped as ElementTree escapes it (&, <, >),
+    an element with no text or children closes itself, and a character
+    UTF-8 cannot encode becomes a character reference.
+    """
+    lines = ["<?xml version='1.0' encoding='UTF-8'?>\n", f'<graphml xmlns="{GRAPHML_NS}">\n']
+    lines += [f'  <key id="{key}" for="{target}" attr.name="{name}" attr.type="{kind}" />\n'
+              for key, target, name, kind in keys]
+    graph = f'  <graph id="{graph_id}" edgedefault="undirected"'
+    if not nodes and not edges:
+        lines.append(graph + " />\n")
+    else:
+        lines.append(graph + ">\n")
+        for tag, elements in (("node", nodes), ("edge", edges)):
+            for attributes, data in elements:
+                if not data:
+                    lines.append(f"    <{tag} {attributes} />\n")
+                    continue
+                lines.append(f"    <{tag} {attributes}>\n")
+                for key, text in data:
+                    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+                    lines.append(f'      <data key="{key}">{text}</data>\n' if text
+                                 else f'      <data key="{key}" />\n')
+                lines.append(f"    </{tag}>\n")
+        lines.append("  </graph>\n")
+    lines.append("</graphml>\n")
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write("".join(lines))
 
 
 def read_graphml(path) -> Graph:
@@ -321,23 +322,13 @@ def _shade(value: float, peak: float) -> str:
     return f"gray{level}"
 
 
-def export_dot(obj, path) -> None:
-    """Serialize a graph in DOT form.
+def export_dot(ig: InducedGraph, path) -> None:
+    """Serialize an induced graph in DOT form.
 
-    Induced graphs render with node width proportional to community size,
-    grayscale fill darkening with mean betweenness, and edge penwidth
-    proportional to weight.  Plain graphs list bare nodes and edges.
+    Node width is proportional to community size, grayscale fill darkens
+    with mean betweenness, and edge penwidth is proportional to weight.
     Output ordering is fixed, so bytes are identical across runs.
     """
-    if isinstance(obj, InducedGraph):
-        _induced_to_dot(obj, path)
-    elif isinstance(obj, Graph):
-        _graph_to_dot(obj, path)
-    else:
-        raise DataError(f"cannot export {type(obj).__name__} as DOT")
-
-
-def _induced_to_dot(ig: InducedGraph, path) -> None:
     peak_b = max((ig.mean_betweenness[c] for c in ig.community_ids), default=0.0)
     peak_s = max((ig.sizes[c] for c in ig.community_ids), default=1)
     peak_w = max((w for _, _, w in ig.edges), default=1)
@@ -354,16 +345,6 @@ def _induced_to_dot(ig: InducedGraph, path) -> None:
         pen = 0.5 + 4.5 * w / peak_w
         lines.append(f"  {display[a]} -- {display[b]} "
                      f"[penwidth={pen:.3f}, label=\"{w}\"];")
-    lines.append("}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _graph_to_dot(g: Graph, path) -> None:
-    lines = ["graph G {"]
-    lines.extend(f"  {_dot_quote(name)};" for name in g.names)
-    for a, b in g.edges():
-        lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
     lines.append("}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -7,10 +7,12 @@ algorithm than the library uses, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from comention import DataError, build_graph
+from comention import DataError, Graph, InducedGraph, build_graph
+from comention.report import GRAPHML_NS, fmt
 
 INF = 1 << 20
 
@@ -63,6 +65,21 @@ def adjacency_sets(n, pairs):
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def csr(n, pairs):
+    """``(indptr, adjacency)`` of nodes 0..n-1 and ``pairs``, rows sorted."""
+    adj = adjacency_sets(n, pairs)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in adj], out=indptr[1:])
+    adjacency = np.array([u for row in adj for u in sorted(row)], dtype=np.int32)
+    return indptr, adjacency
+
+
+def graph_on(n, pairs):
+    """A :class:`Graph` on nodes 0..n-1, isolated ones included (which
+    ``build_graph`` cannot make), named ``v0``, ``v1``, ..."""
+    return Graph(tuple(f"v{i}" for i in range(n)), *csr(n, pairs))
 
 
 def floyd_warshall(n, pairs):
@@ -214,6 +231,48 @@ def clustering_oracle(n, pairs):
         links = sum(1 for a, b in itertools.combinations(neighbors, 2) if b in adj[a])
         out[v] = 2.0 * links / (d * (d - 1))
     return out
+
+
+def graphml_oracle(obj, path):
+    """GraphML of a plain or induced graph as ElementTree writes it after
+    ``indent``: the writer ``export_graphml`` replaced, byte for byte."""
+    root = ET.Element("graphml", xmlns=GRAPHML_NS)
+
+    def key(key_id, target, name, kind):
+        ET.SubElement(root, "key", attrib={
+            "id": key_id, "for": target, "attr.name": name, "attr.type": kind})
+
+    if isinstance(obj, Graph):
+        key("d_name", "node", "name", "string")
+        container = ET.SubElement(root, "graph", id="G", edgedefault="undirected")
+        for v, name in enumerate(obj.names):
+            node = ET.SubElement(container, "node", id=f"n{v}")
+            ET.SubElement(node, "data", key="d_name").text = name
+        us, vs = obj.edge_arrays()
+        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+            ET.SubElement(container, "edge", id=f"e{i}", source=f"n{u}", target=f"n{v}")
+    else:
+        assert isinstance(obj, InducedGraph)
+        key("d_label", "node", "label", "string")
+        key("d_size", "node", "size", "long")
+        key("d_intra", "node", "intra_weight", "long")
+        key("d_btw", "node", "mean_betweenness", "double")
+        key("d_weight", "edge", "weight", "long")
+        container = ET.SubElement(root, "graph", id="induced", edgedefault="undirected")
+        for c in obj.community_ids:
+            node = ET.SubElement(container, "node", id=f"c{c}")
+            for key_id, value in (("d_label", obj.labels[c]), ("d_size", obj.sizes[c]),
+                                  ("d_intra", obj.intra_weights[c]),
+                                  ("d_btw", fmt(obj.mean_betweenness[c]))):
+                ET.SubElement(node, "data", key=key_id).text = str(value)
+        for i, (a, b, w) in enumerate(obj.edges):
+            edge = ET.SubElement(container, "edge", id=f"e{i}", source=f"c{a}", target=f"c{b}")
+            ET.SubElement(edge, "data", key="d_weight").text = str(w)
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    tree.write(path, encoding="UTF-8", xml_declaration=True)
+    with open(path, "ab") as fh:
+        fh.write(b"\n")
 
 
 def modularity_oracle(n, pairs, labels, resolution=1.0):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     betweenness_oracle,
@@ -13,6 +14,7 @@ from conftest import (
     eigenvector_oracle,
     floyd_warshall,
     graph_from,
+    graph_on,
     id_pairs,
     INF,
     pearson_oracle,
@@ -113,7 +115,7 @@ class TestCloseness:
             c = closeness_centrality(g)
             comp_size = np.asarray(comps.sizes)[comps.labels]
             for v in range(g.node_count):
-                adjacent_all = g.degree_of(v) == comp_size[v] - 1 > 0
+                adjacent_all = g.degrees[v] == comp_size[v] - 1 > 0
                 assert (c[v] == 1.0) == adjacent_all
 
 
@@ -215,13 +217,44 @@ class TestEigenvector:
         assert e[g.name_to_id["B"]] > e[g.name_to_id["A"]]
 
 
+@st.composite
+def tied_graphs(draw):
+    """(n, pairs) on at most 16 nodes: disjoint cliques and cycles, whose
+    nodes share one degree, joined by a few random edges, then leaves of
+    degree 1 and isolated nodes."""
+    n, pairs = 0, set()
+    for kind, size in draw(st.lists(st.tuples(st.sampled_from(("clique", "cycle")),
+                                              st.integers(3, 5)), max_size=3)):
+        block = range(n, n + size)
+        if kind == "clique":
+            pairs |= set(itertools.combinations(block, 2))
+        else:
+            pairs |= {(min(u, v), max(u, v)) for u, v in zip(block, [*block[1:], block[0]])}
+        n += size
+    if n > 1:
+        links = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs |= {(min(u, v), max(u, v)) for u, v in draw(st.lists(links, max_size=4)) if u != v}
+    for kind in draw(st.lists(st.sampled_from(("leaf", "isolated")), max_size=16 - n)):
+        if kind == "leaf" and n:
+            pairs.add((draw(st.integers(0, n - 1)), n))
+        n += 1
+    return n, sorted(pairs)
+
+
 class TestClustering:
     def test_complete_clique(self):
         assert (clustering_coefficient(complete(list("ABCD"))) == 1.0).all()
 
+    def test_complete_sixty(self):
+        assert (clustering_coefficient(complete([f"v{i}" for i in range(60)])) == 1.0).all()
+
     def test_star_center_zero(self):
         g = star(5)
         assert clustering_coefficient(g)[g.name_to_id["hub"]] == 0.0
+
+    def test_large_star_all_zero(self):
+        """Unoriented, the hub alone would list 12.5 M pairs of leaves."""
+        assert (clustering_coefficient(star(5000)) == 0.0).all()
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(101)
@@ -229,7 +262,14 @@ class TestClustering:
             g = graph_from(random_pairs(rng, p=0.5))
             got = clustering_coefficient(g)
             want = clustering_oracle(g.node_count, id_pairs(g))
-            assert np.allclose(got, want, atol=1e-12, rtol=0)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=tied_graphs())
+    def test_matches_oracle_with_ties_leaves_and_isolated_nodes(self, graph):
+        n, pairs = graph
+        got = clustering_coefficient(graph_on(n, pairs))
+        assert got.tobytes() == clustering_oracle(n, pairs).tobytes()
 
     def test_invariant_to_remote_edges(self):
         base = [("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")]

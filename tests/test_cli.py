@@ -771,6 +771,23 @@ class TestErrorChannels:
         assert f"error: {bad}: not UTF-8 text" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_lone_surrogate_name_is_data_error(self, tmp_path, capsys, command):
+        """A \\ud800 escape decodes to a lone surrogate, which no UTF-8 file can hold."""
+        bad = tmp_path / "articles.jsonl"
+        bad.write_text(ARTICLES + '{"id": "s1", "persons": ["L0", "Ann \\ud800 X"]}\n',
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--input", bad, "--out-dir", out]
+        if command == "run":
+            argv += ["--seed", "5", "--min-community-size", "2"]
+        rc = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "line 4: person name 'Ann \\ud800 X' is not valid Unicode" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestStageParity:
     """Each stage subcommand writes the same bytes as ``run`` with the same options."""

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from comention import (
     modularity,
     top_members,
 )
+from comention.community import _one_level
 from comention.ingest import clique_expand
 from comention.synth import benchmark_graph, generate_corpus, planted_partition
 
@@ -151,6 +153,22 @@ class TestLouvain:
         )
         p = louvain(g, seed=2)
         assert list(p.sizes) == sorted(p.sizes, reverse=True)
+
+
+class TestLocalMoving:
+    @pytest.mark.parametrize("row", [[2, 1], [1, 2]], ids=["higher-first", "lower-first"])
+    def test_exact_tie_goes_to_lowest_id(self, row):
+        """Path 1 - 0 - 2, where 1 and 2 carry one self-loop each: node 0
+        gains exactly as much in community 2 as in community 1, whichever its
+        row meets first.  It joins 1; once it has, 2 gains nothing by joining."""
+        indptr = np.array([0, 2, 3, 4])
+        adjacency = np.array([*row, 0, 0])
+        weights = np.ones(4)
+        loops = np.array([0.0, 1.0, 1.0])
+        in_id_order = SimpleNamespace(shuffle=lambda order: None)
+        moved, labels = _one_level(indptr, adjacency, weights, loops, 4.0, 1.0, in_id_order)
+        assert moved
+        assert labels.tolist() == [0, 0, 1]
 
 
 class TestLouvainGolden:

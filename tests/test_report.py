@@ -6,11 +6,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import graph_from, id_pairs, modularity_oracle, random_pairs
+from conftest import graph_from, graphml_oracle, id_pairs, modularity_oracle, random_pairs
 from comention import (
     CentralityBundle,
     DataError,
     DegreeDistribution,
+    Graph,
     Partition,
     PipelineConfig,
     build_graph,
@@ -20,6 +21,7 @@ from comention import (
     export_graphml,
     fit_loglog,
     induced_graph,
+    louvain,
     read_graphml,
     run_pipeline,
     top_k,
@@ -40,11 +42,13 @@ from comention.report import (
     F_TOP10,
     F_TYPOLOGY,
     PipelineRun,
+    _graphml_node_names,
     audit,
     write_centrality_files,
     write_induced_files,
 )
-from comention.synth import generate_corpus, write_articles_jsonl
+from comention.ingest import clique_expand
+from comention.synth import benchmark_graph, generate_corpus, write_articles_jsonl
 
 CLIQUE_ARTICLES = [
     {"id": "left", "persons": [f"L{i}" for i in range(5)]},
@@ -356,6 +360,62 @@ class TestGraphML:
         ]
         assert "2" in weights
 
+    @staticmethod
+    def same_as_oracle(obj, tmp_path):
+        export_graphml(obj, tmp_path / "written.graphml")
+        graphml_oracle(obj, tmp_path / "oracle.graphml")
+        written = (tmp_path / "written.graphml").read_bytes()
+        assert written == (tmp_path / "oracle.graphml").read_bytes()
+        return written
+
+    def test_escaped_names_match_element_tree(self, tmp_path):
+        names = ["A & B", "<C>", 'D "quoted"', "E's", "Ж ü 東", "&amp;", "x>y<z"]
+        g = build_graph(list(zip(names, names[1:])))
+        text = self.same_as_oracle(g, tmp_path).decode("utf-8")
+        assert "<data key=\"d_name\">A &amp; B</data>" in text and "&lt;C&gt;" in text
+        assert read_graphml(tmp_path / "written.graphml").names == g.names
+        assert _graphml_node_names(tmp_path / "written.graphml") == list(g.names)
+
+    def test_lone_surrogate_matches_element_tree(self, tmp_path):
+        """Ingest rejects such a name; written anyway, it is a character
+        reference, as ElementTree writes it."""
+        g = build_graph([("Ann \ud800 X", "B")])
+        assert b"Ann &#55296; X" in self.same_as_oracle(g, tmp_path)
+
+    @pytest.mark.parametrize("names", [("A", "B"), ("",), ()], ids=["two", "empty-name", "none"])
+    def test_nodes_without_edges_match_element_tree(self, tmp_path, names):
+        """An empty name is unreachable from ``build_graph``; the writer still
+        closes its element the way ElementTree does."""
+        g = Graph(names, np.zeros(len(names) + 1, dtype=np.int64), np.zeros(0, dtype=np.int32))
+        self.same_as_oracle(g, tmp_path)
+
+    @pytest.fixture(scope="class")
+    def eighth_scale(self):
+        """Both canonical inputs at 1/8 scale, each with its Louvain partition
+        and centrality bundle."""
+        graphs = {"bench-graph": build_graph(benchmark_graph(1390, 4693, seed=11)),
+                  "corpus": build_graph(clique_expand(generate_corpus(650, 1312, seed=7)))}
+        return {name: (g, louvain(g, seed=7), compute_bundle(g, threads=1))
+                for name, g in graphs.items()}
+
+    @pytest.mark.parametrize("name", ["bench-graph", "corpus"])
+    def test_eighth_scale_graphs_match_element_tree(self, tmp_path, eighth_scale, name):
+        g, p, bundle = eighth_scale[name]
+        self.same_as_oracle(g, tmp_path)
+        assert _graphml_node_names(tmp_path / "written.graphml") == list(g.names)
+        for include_other in (False, True):
+            ind = induced_graph(g, p, list(range(p.count // 2)), bundle,
+                                include_other=include_other)
+            assert ind.edges and (-1 in ind.community_ids) == include_other
+            self.same_as_oracle(ind, tmp_path)
+
+    def test_single_community_induced_matches_element_tree(self, tmp_path):
+        g = build_graph([("A", "B"), ("B", "C")])
+        p = Partition.from_labels([0, 0, 0])
+        ind = induced_graph(g, p, [0], compute_bundle(g), include_other=True)
+        assert ind.community_ids == (0,) and not ind.edges
+        self.same_as_oracle(ind, tmp_path)
+
 
 class TestDot:
     def test_two_node_induced_statements(self, tmp_path):
@@ -397,14 +457,6 @@ class TestDot:
         export_dot(ind, p1)
         export_dot(ind, p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_plain_graph_statements(self, tmp_path):
-        g = build_graph([("A", "B")])
-        path = tmp_path / "g.dot"
-        export_dot(g, path)
-        text = path.read_text(encoding="utf-8")
-        assert text.count("--") == 1
-        assert text.startswith("graph")
 
 
 class TestPlotData:

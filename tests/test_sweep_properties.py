@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import INF, adjacency_sets, dependency_oracle, floyd_warshall
+from conftest import INF, csr, dependency_oracle, floyd_warshall
 from comention import _sweep
 
 
@@ -29,14 +29,6 @@ def grown_graphs(draw):
             pairs.add((v, n))
         n += 1
     return n, sorted(pairs)
-
-
-def csr(n, pairs):
-    adj = adjacency_sets(n, pairs)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in adj], out=indptr[1:])
-    adjacency = np.array([u for row in adj for u in sorted(row)], dtype=np.int32)
-    return indptr, adjacency
 
 
 @settings(max_examples=80, deadline=None)
