@@ -114,21 +114,25 @@ def build_graph(edges: Iterable[tuple[str, str]]) -> Graph:
         ids += (intern(a, len(index)), intern(b, len(index)))
     if not ids:
         raise DataError("no usable edges after dropping self-pairs and duplicates")
+    return csr_graph(tuple(index), np.array(ids, dtype=np.int64).reshape(-1, 2))
 
+
+def csr_graph(names: tuple[str, ...], ends: np.ndarray) -> Graph:
+    """The graph over ``names`` whose edges are the rows of ``ends``, an
+    (m, 2) int64 array of node ids without self-pairs; a repeated pair
+    collapses to one edge."""
     # Both directions of every pair packed as (tail << 32) | head (node counts
     # stay far below 2**32); sorted, a repeated pair is a run of equal keys.
-    ends = np.array(ids, dtype=np.int64).reshape(-1, 2)
     keys = np.concatenate([(ends[:, 0] << 32) | ends[:, 1], (ends[:, 1] << 32) | ends[:, 0]])
     keys.sort()
     fresh = np.empty(keys.size, dtype=bool)
     fresh[0] = True
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
     keys = keys[fresh]
-    n = len(index)
+    n = len(names)
     adjacency = (keys & 0xFFFFFFFF).astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys >> 32, minlength=n), out=indptr[1:])
-    names = tuple(index)  # dict preserves insertion order
     return Graph(names=names, indptr=indptr, adjacency=adjacency)
 
 

@@ -22,10 +22,10 @@ from . import centrality as centrality_mod
 from . import community as community_mod
 from .centrality import FLOAT_FORMAT
 from .errors import DataError
-from .graph import (Graph, build_graph, connected_components, density,
-                    diameter as graph_diameter, read_edge_csv, read_edge_pairs, write_edge_csv)
+from .graph import (Graph, build_graph, connected_components, csr_graph, density,
+                    diameter as graph_diameter, read_edge_pairs, write_edge_csv)
 from .ingest import (apply_aliases, clique_expand, collector_paused, ingest_stats,
-                     load_aliases, load_articles, normalize_name)
+                     load_aliases, load_articles)
 from .community import InducedGraph, Partition
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog
 from .typology import (CATEGORIES, assign_types, build_profiles, kmeans,
@@ -58,6 +58,8 @@ F_MANIFEST = "manifest.json"
 RUN_FILES = (F_EDGES, F_SUMMARY, F_CENTRALITY, F_TOP10, F_PARTITION, F_COMMUNITIES,
              F_TOP_MEMBERS, F_INDUCED_GRAPHML, F_INDUCED_DOT, F_INDUCED_JSON,
              F_DEGREE_DIST, F_POWERLAW_FIT, F_POWERLAW, F_GRAPHML)
+# every name a manifest may list
+KNOWN_FILES = frozenset((*RUN_FILES, F_INGEST, F_PROFILES, F_TYPOLOGY, F_COMMUNITY_TYPES))
 
 MARK = "†"  # appended to names appearing in more than one leaderboard
 
@@ -260,56 +262,35 @@ def _write_graphml(path, graph_id: str, keys, nodes, edges) -> None:
 
 
 def read_graphml(path) -> Graph:
-    """Rebuild a plain graph from GraphML written by :func:`export_graphml`."""
+    """The graph :func:`export_graphml` wrote, in the file's own ids.
+
+    The i-th ``<node>`` is node i, named by its ``d_name`` text exactly as
+    written, and each ``<edge>`` joins two node ids.  Raises
+    :class:`DataError` for malformed XML, an edge to an unknown node, a
+    self-loop, a repeated node id or name, and a file with no edges.
+    """
     try:
-        tree = ET.parse(path)
+        root = ET.parse(path).getroot()
     except ET.ParseError as exc:
         raise DataError(f"{path}: not well-formed XML: {exc}") from exc
-    root = tree.getroot()
-
-    def local(tag) -> str:
-        return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
-
-    name_keys = {el.get("id") for el in root.iter()
-                 if local(el.tag) == "key" and el.get("attr.name") == "name"}
-    names: dict[str, str] = {}
-    edges: list[tuple[str, str]] = []
-    for el in root.iter():
-        tag = local(el.tag)
-        if tag == "node":
-            nid = el.get("id")
-            label = nid
-            for data in el:
-                if local(data.tag) == "data" and data.get("key") in name_keys:
-                    label = data.text or nid
-            names[nid] = normalize_name(label)
-        elif tag == "edge":
-            edges.append((el.get("source"), el.get("target")))
-    if not edges:
-        raise DataError(f"{path}: no edges")
+    ids: dict[str, int] = {}
+    names: dict[str, None] = {}  # insertion-ordered set
+    for el in root.iter(f"{{{GRAPHML_NS}}}node"):
+        nid, name = el.get("id"), el.findtext(f"{{{GRAPHML_NS}}}data[@key='d_name']", "")
+        if nid in ids or name in names:
+            raise DataError(f"{path}: node {nid!r} named {name!r} repeats a node id or name")
+        ids[nid] = len(ids)
+        names[name] = None
     try:
-        pairs = [(names[a], names[b]) for a, b in edges]
+        ends = np.array([(ids[el.get("source")], ids[el.get("target")])
+                         for el in root.iter(f"{{{GRAPHML_NS}}}edge")], dtype=np.int64)
     except KeyError as exc:
         raise DataError(f"{path}: edge references unknown node {exc}") from exc
-    return build_graph(pairs)
-
-
-def _graphml_node_names(path) -> list[str]:
-    """Node names of a graph written by :func:`export_graphml`, in its node
-    order.  That writer lists every node before the first edge, so reading
-    stops there."""
-    names = []
-    try:
-        with open(path, "rb") as fh:
-            for _, el in ET.iterparse(fh):
-                tag = el.tag.rsplit("}", 1)[-1]
-                if tag == "data" and el.get("key") == "d_name":
-                    names.append(el.text or "")
-                elif tag == "edge":
-                    break
-    except ET.ParseError as exc:
-        raise DataError(f"{path}: not well-formed XML: {exc}") from exc
-    return names
+    if not ends.size:
+        raise DataError(f"{path}: no edges")
+    if (ends[:, 0] == ends[:, 1]).any():
+        raise DataError(f"{path}: edge joins a node to itself")
+    return csr_graph(tuple(names), ends)
 
 
 def _dot_quote(name: str) -> str:
@@ -543,6 +524,11 @@ def write_centrality_files(run: PipelineRun) -> list[str]:
     return [F_CENTRALITY, F_TOP10]
 
 
+def write_graph_files(run: PipelineRun) -> list[str]:
+    export_graphml(run.graph, run.out / F_GRAPHML)
+    return [F_GRAPHML]
+
+
 def write_partition_files(run: PipelineRun) -> list[str]:
     g, partition = run.graph, run.partition
     write_csv(run.out / F_PARTITION, ["name", "community"],
@@ -618,9 +604,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         getattr(run, product)
     emitted = [*write_ingest_files(run), *write_centrality_files(run),
                *write_partition_files(run), *write_community_files(run),
-               *write_induced_files(run), *write_powerlaw_files(run)]
-    export_graphml(run.graph, run.out / F_GRAPHML)
-    emitted.append(F_GRAPHML)
+               *write_induced_files(run), *write_powerlaw_files(run), *write_graph_files(run)]
     if run.typology is not None:
         emitted += write_typology_files(run)
     write_json(run.out / F_SUMMARY, run.summary)
@@ -656,17 +640,18 @@ _UNCOMPUTABLE = (OSError, DataError, KeyError, ValueError, TypeError, AttributeE
 
 
 class RecordedRun(PipelineRun):
-    """A finished run read back from its directory.
+    """A finished run read back from its directory, in the run's own node ids.
 
-    The graph comes from edges.csv, the partition from partition.csv (whose
-    rows must follow the node order of graph.graphml, the order the run
-    writes them in), the scores from centrality.csv (degree from the graph)
-    and the diameter from one distance-only sweep, so no community
-    detection, eigenvector iteration or Brandes sweep runs again.  That
-    sweep is bit-parallel and runs in this process: only the Brandes sweep
-    starts worker processes, and ``config.threads`` never changes a byte.
-    Every other product, and every file a writer renders into
-    ``config.out_dir``, is :class:`PipelineRun`'s own.
+    The graph comes from graph.graphml (its i-th node is node i), the
+    partition from partition.csv, read by position (its name column must be
+    the graph's names in node order), the scores from centrality.csv,
+    matched by name (degree from the graph), and the diameter from one
+    distance-only sweep, so no community detection, eigenvector iteration or
+    Brandes sweep runs again.  That sweep is bit-parallel and runs in this
+    process: only the Brandes sweep starts worker processes, and
+    ``config.threads`` never changes a byte.  Every other product, and every
+    file a writer renders into ``config.out_dir``, is :class:`PipelineRun`'s
+    own; edges.csv is the only ingest file it renders.
     """
 
     def __init__(self, run_dir: Path, config: PipelineConfig):
@@ -675,67 +660,52 @@ class RecordedRun(PipelineRun):
 
     @cached_property
     def source(self) -> tuple[Graph, None]:
-        return read_edge_csv(self.run_dir / F_EDGES), None
+        return read_graphml(self.run_dir / F_GRAPHML), None
 
     @cached_property
     def diameter(self) -> int:
         return graph_diameter(self.graph, components=self.components)
 
+    def _rows(self, filename: str) -> list[dict]:
+        with open(self.run_dir / filename, "r", encoding="utf-8", newline="") as fh:
+            return list(csv.DictReader(fh))
+
     @cached_property
     def partition(self) -> Partition:
-        rows = self._per_node(F_PARTITION, ["community"], in_node_order=True)
-        return Partition.from_labels([int(row[0]) for row in rows])
+        rows, names = self._rows(F_PARTITION), self.graph.names
+        if [row["name"] for row in rows] != list(names):
+            first = next((i for i, (row, name) in enumerate(zip(rows, names))
+                          if row["name"] != name), min(len(rows), len(names)))
+            raise DataError(f"{self.run_dir / F_PARTITION}: rows are not in the node order "
+                            f"of {F_GRAPHML}, first at row {first + 1}")
+        return Partition.from_labels([int(row["community"]) for row in rows])
 
     @cached_property
     def bundle(self) -> centrality_mod.CentralityBundle:
         measures = ["closeness", "betweenness", "eigenvector", "clustering"]
-        columns = np.array(self._per_node(F_CENTRALITY, measures), dtype=np.float64).T
+        rows = self._rows(F_CENTRALITY)
+        by_name = {row["name"]: row for row in rows}
+        if len(by_name) != len(rows) or by_name.keys() != set(self.graph.names):
+            raise DataError(f"{self.run_dir / F_CENTRALITY}: rows do not name each graph "
+                            f"node once")
+        columns = np.array([[by_name[name][m] for m in measures] for name in self.graph.names],
+                           dtype=np.float64).T
         return centrality_mod.CentralityBundle(
             degree=centrality_mod.degree_centrality(self.graph), eccentricity=None,
             **dict(zip(measures, columns)))
-
-    def _per_node(self, filename: str, columns: list[str],
-                  in_node_order: bool = False) -> list[list[str]]:
-        """``columns`` of a table with one row per graph node, in node id order.
-
-        With ``in_node_order`` the file's rows must also come in the run's
-        node order, the order in which graph.graphml lists the nodes.
-        """
-        path = self.run_dir / filename
-        index = self.graph.name_to_id
-        rows: list = [None] * len(index)
-        names = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                v = index.get(row["name"])
-                if v is None:
-                    raise DataError(f"{path}: {row['name']!r} is not a graph node")
-                if rows[v] is not None:
-                    raise DataError(f"{path}: {row['name']!r} is listed twice")
-                rows[v] = [row[c] for c in columns]
-                names.append(row["name"])
-        if None in rows:
-            raise DataError(f"{path}: {rows.count(None)} graph nodes missing")
-        if in_node_order:
-            order = _graphml_node_names(self.run_dir / F_GRAPHML)
-            if names != order:
-                first = next((i for i, pair in enumerate(zip(names, order))
-                              if pair[0] != pair[1]), min(len(names), len(order)))
-                raise DataError(f"{path}: rows are not in the node order of {F_GRAPHML}, "
-                                f"first at row {first + 1}")
-        return rows
 
 
 def audit(out_dir) -> list[AuditCheck]:
     """Read a run back and check that its files say what the run computes.
 
-    Digests are verified for every manifest entry.  The run is read back
-    as a :class:`RecordedRun`: every summary.json field is compared with
-    the one it computes, and the run's own writers re-render the centrality,
-    community and power-law tables into a temporary directory, each compared
-    with the file on disk.  Each check runs on its own: one that cannot be
-    computed from the files, say because a row was renamed or deleted,
-    becomes a failed check whose detail names the cause.
+    Digests are verified for every manifest entry; an entry that is not a
+    file name a run writes fails unopened.  The run is read back as a
+    :class:`RecordedRun`: every summary.json field is compared with the one
+    it computes, and the run's own writers re-render graph.graphml, the edge
+    list and the centrality, community and power-law tables into a temporary
+    directory, each compared with the file on disk.  Each check runs on its
+    own: one that cannot be computed from the files, say because a row was
+    renamed or deleted, becomes a failed check whose detail names the cause.
     """
     out = Path(out_dir)
     manifest_path = out / F_MANIFEST
@@ -758,8 +728,8 @@ def audit(out_dir) -> list[AuditCheck]:
     summary = attempt("summary", lambda: _json_object(_read_json(out / F_SUMMARY), F_SUMMARY))
     with tempfile.TemporaryDirectory() as scratch:
         run = attempt("config", lambda: RecordedRun(out, PipelineConfig.from_mapping({
-            **manifest.get("config", {}), "input": str(out / F_EDGES), "out_dir": scratch})))
-        if run is None or attempt("edges", lambda: run.graph) is None:
+            **manifest.get("config", {}), "input": str(out / F_GRAPHML), "out_dir": scratch})))
+        if run is None or attempt("graph", lambda: run.graph) is None:
             return checks
         attempt("partition", lambda: checks.append(AuditCheck(
             "partition", True, f"one row per graph node, {run.partition.count} communities")))
@@ -771,6 +741,8 @@ def audit(out_dir) -> list[AuditCheck]:
         # wrappers installed after import see the call
         rendered = {}
         for name, check, writer in (
+                (F_GRAPHML, "graphml", write_graph_files),
+                (F_EDGES, "edge_list", write_ingest_files),
                 (F_CENTRALITY, "centrality", write_centrality_files),
                 (F_TOP10, "top10", write_centrality_files),
                 (F_COMMUNITIES, "community_means", write_community_files),
@@ -816,7 +788,9 @@ def _audit_digests(out: Path, manifest: dict, checks: list[AuditCheck]) -> None:
     problems = [(name, "not listed in manifest") for name in sorted(written - set(files))]
     for name, expected in files.items():
         path = out / name
-        if not path.exists():
+        if name not in KNOWN_FILES:  # never opened: it may name any path
+            problems.append((name, "not a file a run writes"))
+        elif not path.exists():
             problems.append((name, "missing"))
         elif sha256_file(path) != expected:
             problems.append((name, "digest mismatch"))

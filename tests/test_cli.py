@@ -492,6 +492,7 @@ class TestAuditCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("filename,check", [
+        ("edges.csv", "edge_list"),
         ("centrality.csv", "centrality"),
         ("communities.csv", "community_means"),
         ("degree_dist.csv", "degree_dist"),
@@ -555,8 +556,49 @@ class TestAuditCommand:
 
         rc, failed, err = audit_copy(clean_run, tmp_path, damage, capsys)
         assert rc == 2
-        assert any("partition:" in line and "not well-formed XML" in line
+        assert any("graph:" in line and "not well-formed XML" in line
                    for line in failed), failed
+        assert "Traceback" not in err
+
+    def test_retargeted_graphml_edge_fails(self, tmp_path, clean_run, capsys):
+        """The graph is read from graph.graphml, so edges.csv is checked against it."""
+        def damage(out):
+            path = out / "graph.graphml"
+            text = path.read_text(encoding="utf-8")
+            edge = 'source="n0" target="n1"'  # L0-L1; L0 and R4 (n9) are not adjacent
+            assert edge in text and 'source="n0" target="n9"' not in text
+            path.write_text(text.replace(edge, 'source="n0" target="n9"'), encoding="utf-8")
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            manifest["files"]["graph.graphml"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+        rc, failed, err = audit_copy(clean_run, tmp_path, damage, capsys)
+        assert rc == 2
+        assert "edge_list:" in [line.split()[1] for line in failed], failed
+        assert not any("file:" in line for line in failed), failed
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["absolute-path", "parent-path", "directory"])
+    def test_manifest_entry_outside_run_fails(self, tmp_path, clean_run, capsys, entry):
+        """A manifest entry that is not a file name a run writes is a failure of
+        its own, never opened, and every other entry is still checked."""
+        outside = tmp_path / "outside.csv"
+        outside.write_text("source,target\nA,B\n", encoding="utf-8")
+        name = {"absolute-path": str(outside), "parent-path": "../outside.csv",
+                "directory": str(tmp_path)}[entry]
+
+        def damage(out):
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            manifest["files"][name] = hashlib.sha256(outside.read_bytes()).hexdigest()
+            (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            with open(out / "top10.csv", "a", encoding="utf-8") as fh:
+                fh.write("tampered\n")
+
+        rc, failed, err = audit_copy(clean_run, tmp_path, damage, capsys)
+        assert rc == 2
+        assert f"FAIL file:{name}: not a file a run writes" in failed, failed
+        assert "FAIL file:top10.csv: digest mismatch" in failed, failed
+        assert not any("digests:" in line for line in failed), failed
         assert "Traceback" not in err
 
     def test_audit_only_reads(self, tmp_path, clean_run, capsys, monkeypatch):

@@ -133,9 +133,17 @@ def assert_close(got, want, where):
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
-def test_run_outputs_pinned(name, tmp_path):
-    digests, values = observed(run_outputs(name, tmp_path, threads=2))
+def test_run_outputs_pinned(name, tmp_path, capsys):
+    """The pinned run's bytes, then an audit of it that passes every check."""
+    out = run_outputs(name, tmp_path, threads=2)
+    digests, values = observed(out)
     assert digests == PINS[name]
     with gzip.open(VALUES, "rt", encoding="utf-8") as fh:
         want = json.load(fh)[name]
     assert_close(values, want, name)
+    capsys.readouterr()
+    rc = main(["audit", "--out-dir", str(out)])
+    checks = capsys.readouterr().out.splitlines()
+    assert rc == 0, [line for line in checks if line.startswith("FAIL")]
+    assert {"graphml:", "edge_list:"} <= {line.split()[1] for line in checks
+                                          if line.startswith("ok")}

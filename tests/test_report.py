@@ -42,7 +42,6 @@ from comention.report import (
     F_TOP10,
     F_TYPOLOGY,
     PipelineRun,
-    _graphml_node_names,
     audit,
     write_centrality_files,
     write_induced_files,
@@ -327,17 +326,46 @@ class TestGraphML:
         assert tags.count("node") == 3
         assert tags.count("edge") == 3
 
-    def test_round_trip_random_graphs(self, tmp_path):
+    def test_round_trip_random_graphs(self, tmp_path, eighth_scale):
+        """The graph comes back in its own ids: the same names in the same
+        order and the same CSR arrays."""
         rng = np.random.default_rng(271)
-        for i in range(8):
-            g = graph_from(random_pairs(rng))
+        graphs = [graph_from(random_pairs(rng)) for _ in range(8)]
+        for i, g in enumerate(graphs + [g for g, _, _ in eighth_scale.values()]):
             path = tmp_path / f"g{i}.graphml"
             export_graphml(g, path)
             back = read_graphml(path)
-            assert set(back.names) == set(g.names)
-            assert {frozenset(e) for e in back.edges()} == {
-                frozenset(e) for e in g.edges()
-            }
+            assert back.names == g.names
+            assert back.indptr.dtype == g.indptr.dtype
+            assert np.array_equal(back.indptr, g.indptr)
+            assert back.adjacency.dtype == g.adjacency.dtype
+            assert np.array_equal(back.adjacency, g.adjacency)
+
+    NODES = ('<node id="n0"><data key="d_name">A</data></node>'
+             '<node id="n1"><data key="d_name">B</data></node>')
+
+    @pytest.mark.parametrize("body,error", [
+        pytest.param(NODES + '<edge source="n0" target="n1"', "not well-formed XML",
+                     id="malformed"),
+        pytest.param(NODES + '<edge source="n0" target="n2" />', "unknown node 'n2'",
+                     id="unknown-node"),
+        pytest.param(NODES + '<edge source="n1" target="n1" />', "joins a node to itself",
+                     id="self-loop"),
+        pytest.param(NODES + '<node id="n1"><data key="d_name">C</data></node>'
+                     '<edge source="n0" target="n1" />', "repeats a node id or name",
+                     id="repeated-id"),
+        pytest.param(NODES + '<node id="n2"><data key="d_name">A</data></node>'
+                     '<edge source="n0" target="n1" />', "repeats a node id or name",
+                     id="repeated-name"),
+        pytest.param(NODES, "no edges", id="no-edges"),
+    ])
+    def test_read_graphml_rejects(self, tmp_path, body, error):
+        path = tmp_path / "bad.graphml"
+        path.write_text('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+                        f'<graph id="G" edgedefault="undirected">{body}</graph></graphml>',
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=error):
+            read_graphml(path)
 
     def test_induced_weight_attribute(self, tmp_path):
         g = build_graph(
@@ -374,7 +402,6 @@ class TestGraphML:
         text = self.same_as_oracle(g, tmp_path).decode("utf-8")
         assert "<data key=\"d_name\">A &amp; B</data>" in text and "&lt;C&gt;" in text
         assert read_graphml(tmp_path / "written.graphml").names == g.names
-        assert _graphml_node_names(tmp_path / "written.graphml") == list(g.names)
 
     def test_lone_surrogate_matches_element_tree(self, tmp_path):
         """Ingest rejects such a name; written anyway, it is a character
@@ -402,7 +429,7 @@ class TestGraphML:
     def test_eighth_scale_graphs_match_element_tree(self, tmp_path, eighth_scale, name):
         g, p, bundle = eighth_scale[name]
         self.same_as_oracle(g, tmp_path)
-        assert _graphml_node_names(tmp_path / "written.graphml") == list(g.names)
+        assert read_graphml(tmp_path / "written.graphml").names == g.names
         for include_other in (False, True):
             ind = induced_graph(g, p, list(range(p.count // 2)), bundle,
                                 include_other=include_other)
