@@ -10,9 +10,8 @@ from .errors import ConvergenceError, DataError
 from .graph import (ComponentLabeling, Graph, build_graph, connected_components,
                     degree_histogram, density, diameter, read_edge_csv,
                     write_edge_csv)
-from .ingest import (AliasMap, ArticleRecord, apply_aliases, clique_expand,
-                     ingest_stats, load_aliases, load_articles, normalize_name,
-                     parse_articles)
+from .ingest import (AliasMap, ArticleRecord, ingest_stats, load_aliases,
+                     load_articles, normalize_name, parse_articles)
 from .centrality import (CentralityBundle, TopTable, betweenness_centrality,
                          closeness_centrality, clustering_coefficient,
                          compute_bundle, degree_centrality,

@@ -141,7 +141,7 @@ HELP = {
     "input_format": f"input file format, one of {report.INPUT_FORMATS}",
     "aliases": "alias,canonical CSV folding duplicate names",
     "affiliations": "name,category CSV of person affiliations for the typology",
-    "seed": "seed for community detection and k-means (mandatory)",
+    "seed": "non-negative seed for community detection and k-means (mandatory)",
     "resolution": "modularity resolution",
     "min_community_size": "drop communities smaller than this",
     "dmin": "smallest tail degree of the power-law fit",

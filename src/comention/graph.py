@@ -6,8 +6,9 @@ import csv
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, count
 from types import SimpleNamespace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ class Graph:
     """Undirected simple graph in compressed sparse row form.
 
     Node ids are dense integers assigned in first-seen order of the input
-    edge list; ``names[v]`` recovers the display name of node ``v``.
+    pairs; ``names[v]`` recovers the display name of node ``v``.
     Neighbor rows are strictly sorted, self-loop free and symmetric, so
     ``adjacency.size`` is exactly twice the edge count.
     """
@@ -96,25 +97,72 @@ class ComponentLabeling:
         return np.flatnonzero(self.labels == component)
 
 
-def build_graph(edges: Iterable[tuple[str, str]]) -> Graph:
-    """Intern names and build the deduplicated undirected graph.
+def build_graph(groups: Iterable[Sequence[str]]) -> Graph:
+    """Intern names and build the deduplicated undirected graph of cliques.
 
-    Self-pairs are dropped, repeated pairs collapse to one edge, and node ids
-    follow first appearance in the stream.  Raises :class:`DataError` on an
-    empty or blank name, or when no usable edge survives cleanup.
+    Every group of names links each two of its members: an edge list passes
+    2-tuples, an article corpus each record's persons.  ``groups`` is read
+    once.  Self-pairs are dropped, repeated pairs collapse to one edge, and
+    node ids follow first appearance among the pairs, so a group without two
+    distinct names adds no node.  Raises :class:`DataError` on a name that is
+    not a non-empty string, or when no usable edge survives cleanup.
     """
+    names, ids, sizes = _intern(groups)
+    return csr_graph(names, _clique_pairs(ids, sizes))
+
+
+def _intern(groups) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """``(names, ids, sizes)`` of the groups that hold two distinct names:
+    node names in first appearance, each such group's node ids laid end to
+    end, and each such group's size."""
+    groups = list(groups)
+    flat = list(chain.from_iterable(groups))
     index: dict[str, int] = {}
-    intern = index.setdefault
-    ids: list[int] = []  # the two endpoints of every kept pair, flat
-    for a, b in edges:
-        if not isinstance(a, str) or not isinstance(b, str) or not a or not b:
-            raise DataError(f"edge endpoint must be a non-empty string, got ({a!r}, {b!r})")
-        if a == b:
-            continue
-        ids += (intern(a, len(index)), intern(b, len(index)))
-    if not ids:
+    try:  # each slot's key: the first slot holding its name
+        keys = np.fromiter(map(index.setdefault, flat, count()), np.int64, len(flat))
+    except TypeError:  # an unhashable name
+        keys = None
+    if keys is None or not all(isinstance(name, str) and name for name in index):
+        bad = next(g for g in groups if not all(isinstance(n, str) and n for n in g))
+        raise DataError("edge endpoint must be a non-empty string, "
+                        f"got ({', '.join(map(repr, bad))})")
+    sizes = np.fromiter(map(len, groups), np.int64, len(groups))
+    starts = np.cumsum(sizes) - sizes
+    # a linked group holds two distinct names, so it adds a pair
+    linked = sizes > 1
+    linked[linked] = (np.minimum.reduceat(keys, starts[linked])
+                      != np.maximum.reduceat(keys, starts[linked]))
+    if not linked.any():
         raise DataError("no usable edges after dropping self-pairs and duplicates")
-    return csr_graph(tuple(index), np.array(ids, dtype=np.int64).reshape(-1, 2))
+    # first[key]: the name's first slot in a linked group, which is where it
+    # first appears among the pairs; its node opens there, and ids count the
+    # nodes in that order
+    slots = np.flatnonzero(np.repeat(linked, sizes))
+    first = np.full(keys.size, keys.size)
+    np.minimum.at(first, keys[slots], slots)
+    opens = np.zeros(keys.size, dtype=bool)
+    opens[first[first < keys.size]] = True
+    ids = (np.cumsum(opens) - 1)[first[keys[slots]]]
+    return tuple(compress(flat, opens.tolist())), ids, sizes[linked]
+
+
+def _clique_pairs(ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Every pair of two slots within one group, as an (m, 2) array of node
+    ids without self-pairs; ``ids`` holds the groups' ids end to end."""
+    starts = np.cumsum(sizes) - sizes
+    per_size = np.bincount(sizes)
+    ends = np.empty((sum(c * k * (k - 1) // 2 for k, c in enumerate(per_size.tolist())), 2),
+                    dtype=np.int64)
+    at = 0
+    for k in np.flatnonzero(per_size).tolist():  # all groups of k slots at once
+        members = ids[starts[sizes == k][:, None] + np.arange(k)]
+        tails, heads = np.triu_indices(k, 1)
+        block = ends[at:at + members.shape[0] * tails.size]
+        block[:, 0] = members[:, tails].ravel()
+        block[:, 1] = members[:, heads].ravel()
+        at += len(block)
+    self_pairs = ends[:, 0] == ends[:, 1]  # from a group that repeats a name
+    return ends[~self_pairs] if self_pairs.any() else ends
 
 
 def csr_graph(names: tuple[str, ...], ends: np.ndarray) -> Graph:

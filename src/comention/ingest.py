@@ -1,16 +1,15 @@
-"""Article ingest: JSONL parsing, name normalization, alias folding, pair expansion."""
+"""Article ingest: JSONL parsing, name normalization and checks, alias folding."""
 
 from __future__ import annotations
 
 import csv
 import gc
-import itertools
 import json
 import logging
 import re
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date as _date
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -20,6 +19,8 @@ from .graph import Graph, density
 logger = logging.getLogger(__name__)
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+# what XML 1.0 forbids even as a character reference
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 AliasMap = dict[str, str]  # alias -> canonical, idempotent by construction
 
@@ -29,9 +30,9 @@ def normalize_name(raw: str) -> str:
     return " ".join(unicodedata.normalize("NFC", raw).split())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArticleRecord:
-    """One ingested article: id, optional title/date, ordered distinct persons."""
+    """One ingested article: id, ordered distinct persons, optional title/date."""
 
     id: str
     persons: tuple[str, ...]
@@ -39,70 +40,119 @@ class ArticleRecord:
     date: str | None = None
 
 
-def _parse_line(payload: str, lineno: int, names: dict[str, str]) -> ArticleRecord | None:
+_JSON = json.JSONDecoder()
+
+
+def _json_value(payload: str):
+    """``json.loads(payload)``, errors included.  A line that is one JSON value
+    and its newline skips ``decode``'s whitespace scans."""
     try:
-        obj = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"line {lineno}: record must be a JSON object")
+        value, end = _JSON.raw_decode(payload)
+        if payload[end:] in ("", "\n"):
+            return value
+    except json.JSONDecodeError:
+        pass  # decode below raises what json.loads would
+    if payload.startswith("\ufeff"):  # as json.loads rejects it
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", payload, 0)
+    return _JSON.decode(payload)
 
-    rid = obj.get("id")
-    if not isinstance(rid, str) or not rid.strip():
-        raise DataError(f"line {lineno}: 'id' must be a non-empty string")
-    rid = rid.strip()
 
-    title = obj.get("title")
-    if title is not None and not isinstance(title, str):
-        raise DataError(f"line {lineno}: 'title' must be a string when present")
+def _name_error(name: str) -> str | None:
+    """Why ``name`` cannot be written out as UTF-8 XML, or None."""
+    if name.isascii() and name.isprintable():  # no control character
+        return None
+    try:  # a \ud800 escape gives a lone surrogate, which UTF-8 cannot hold
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"is not valid Unicode: {exc.reason}"
+    bad = _XML_FORBIDDEN.search(name)
+    return None if bad is None else f"holds {bad.group()!r}, which XML 1.0 forbids"
 
-    when = obj.get("date")
-    if when is not None:
+
+class _Memo:
+    """What one parse has already checked: raw mention -> folded name, and
+    the dates found valid."""
+
+    def __init__(self, aliases: Mapping[str, str]):
+        self.names: dict[str, str] = {}
+        self.known = self.names.__getitem__
+        self.dates: set[str] = set()
+        self.fold = aliases.get
+
+    def name(self, raw, lineno: int) -> str:
+        if not isinstance(raw, str):  # before the lookup: a list is unhashable
+            raise DataError(f"line {lineno}: person entries must be strings, got {raw!r}")
+        name = self.names.get(raw)
+        if name is None:
+            name = normalize_name(raw)
+            problem = _name_error(name)
+            if problem:
+                raise DataError(f"line {lineno}: person name {raw!r} {problem}")
+            name = self.names[raw] = self.fold(name, name)
+        return name
+
+    def check_date(self, when, lineno: int) -> None:
         if not isinstance(when, str) or not _DATE_RE.match(when):
             raise DataError(f"line {lineno}: 'date' must look like YYYY-MM-DD")
         try:
             _date.fromisoformat(when)
         except ValueError as exc:
             raise DataError(f"line {lineno}: 'date' is not a real calendar date: {when}") from exc
+        self.dates.add(when)
+
+
+def _parse_line(payload: str, lineno: int, memo: _Memo) -> ArticleRecord | None:
+    try:
+        obj = _json_value(payload)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"line {lineno}: record must be a JSON object")
+
+    rid = obj.get("id")
+    if not isinstance(rid, str) or not (rid := rid.strip()):
+        raise DataError(f"line {lineno}: 'id' must be a non-empty string")
+
+    title = obj.get("title")
+    if title is not None and not isinstance(title, str):
+        raise DataError(f"line {lineno}: 'title' must be a string when present")
+
+    when = obj.get("date")
+    if when is not None and not (isinstance(when, str) and when in memo.dates):
+        memo.check_date(when, lineno)
 
     persons_raw = obj.get("persons")
     if not isinstance(persons_raw, list):
         raise DataError(f"line {lineno}: 'persons' must be a list of strings")
-    persons: dict[str, None] = {}  # insertion-ordered set
-    for item in persons_raw:
-        if not isinstance(item, str):  # before the lookup: a list is unhashable
-            raise DataError(f"line {lineno}: person entries must be strings, got {item!r}")
-        name = names.get(item)
-        if name is None:
-            name = names[item] = normalize_name(item)
-            try:  # a \ud800 escape gives a lone surrogate, which UTF-8 cannot hold
-                name.isascii() or name.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise DataError(f"line {lineno}: person name {item!r} is not valid "
-                                f"Unicode: {exc.reason}") from exc
-        if name:
-            persons[name] = None
+    try:  # every mention seen before: one pass in C
+        persons = dict.fromkeys(map(memo.known, persons_raw))  # insertion-ordered set
+    except (KeyError, TypeError):
+        persons = dict.fromkeys([memo.name(raw, lineno) for raw in persons_raw])
+    persons.pop("", None)
     if not persons:
         logger.warning("line %d: record %r mentions no usable person, skipping", lineno, rid)
         return None
-    return ArticleRecord(id=rid, persons=tuple(persons), title=title, date=when)
+    return ArticleRecord(rid, tuple(persons), title, when)
 
 
-def parse_articles(lines: Iterable[str]) -> list[ArticleRecord]:
-    """Parse JSONL article records.
+def parse_articles(lines: Iterable[str],
+                   aliases: Mapping[str, str] | None = None) -> list[ArticleRecord]:
+    """Parse JSONL article records, folding aliased names.
 
     Each non-blank line must be an object with a non-empty string ``id`` and a
     ``persons`` list; ``title`` and ``date`` (YYYY-MM-DD) are optional.  Person
-    names are normalized and deduplicated per record, order preserved.  A
-    malformed line raises :class:`DataError` carrying its line number; a record
+    names are normalized, renamed by ``aliases`` (an idempotent alias ->
+    canonical map, as :func:`load_aliases` returns) and deduplicated per
+    record, first mention first.  A malformed line, or a name that XML 1.0
+    cannot carry, raises :class:`DataError` carrying its line number; a record
     left with no persons is skipped with a warning.
     """
     records: list[ArticleRecord] = []
-    names: dict[str, str] = {}  # raw mention -> normalize_name(raw), for this call
+    memo = _Memo(aliases or {})
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
-        record = _parse_line(line, lineno, names)
+        record = _parse_line(line, lineno, memo)
         if record is not None:
             records.append(record)
     return records
@@ -141,10 +191,11 @@ def collector_paused():
             gc.enable()
 
 
-def load_articles(path) -> list[ArticleRecord]:
+def load_articles(path, aliases: Mapping[str, str] | None = None) -> list[ArticleRecord]:
+    """:func:`parse_articles` over a JSONL file; errors name the file."""
     with open_text(path) as fh:
         try:
-            return parse_articles(fh)
+            return parse_articles(fh, aliases)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
 
@@ -169,6 +220,10 @@ def read_name_pairs(path, header: tuple[str, str]) -> Iterator[tuple[int, str, s
             a, b = normalize_name(row[0]), normalize_name(row[1])
             if not a or not b:
                 raise DataError(f"{path}: line {lineno}: blank {header[0] if not a else header[1]}")
+            for name in (a, b):
+                problem = _name_error(name)
+                if problem:
+                    raise DataError(f"{path}: line {lineno}: name {name!r} {problem}")
             yield lineno, a, b
 
 
@@ -193,35 +248,6 @@ def load_aliases(path) -> dict[str, str]:
             raise DataError(f"{path}: chained alias: {alias!r} -> {canonical!r} -> "
                             f"{aliases[canonical]!r}")
     return aliases
-
-
-def apply_aliases(records: Sequence[ArticleRecord],
-                  aliases: Mapping[str, str]) -> list[ArticleRecord]:
-    """Fold aliased person names onto their canonical form.
-
-    Renaming can merge two mentions within one article; the duplicate is
-    dropped and first-mention order kept.  Applying the same map again is a
-    no-op by construction.
-    """
-    aliased = aliases.keys()
-    out: list[ArticleRecord] = []
-    for record in records:
-        if not aliased.isdisjoint(record.persons):
-            folded = tuple(dict.fromkeys([aliases.get(name, name) for name in record.persons]))
-            if folded != record.persons:
-                record = replace(record, persons=folded)
-        out.append(record)
-    return out
-
-
-def clique_expand(records: Iterable[ArticleRecord]) -> Iterator[tuple[str, str]]:
-    """Yield every unordered co-mention pair, one clique per article.
-
-    An article naming k persons contributes k*(k-1)/2 pairs; articles with a
-    single person contribute none.
-    """
-    for record in records:
-        yield from itertools.combinations(record.persons, 2)
 
 
 def ingest_stats(records: Sequence[ArticleRecord], g: Graph) -> dict:

@@ -24,8 +24,7 @@ from .centrality import FLOAT_FORMAT
 from .errors import DataError
 from .graph import (Graph, build_graph, connected_components, csr_graph, density,
                     diameter as graph_diameter, read_edge_pairs, write_edge_csv)
-from .ingest import (apply_aliases, clique_expand, collector_paused, ingest_stats,
-                     load_aliases, load_articles)
+from .ingest import collector_paused, ingest_stats, load_aliases, load_articles
 from .community import InducedGraph, Partition
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog
 from .typology import (CATEGORIES, assign_types, build_profiles, kmeans,
@@ -139,6 +138,8 @@ class PipelineConfig:
             value = getattr(self, field)
             if value < 1:
                 raise DataError(f"{field} must be a positive integer, got {value!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.threads is not None and self.threads < 1:
             raise DataError(f"threads must be a positive integer, got {self.threads!r}")
         for field in ("resolution", "eigen_tol"):
@@ -185,10 +186,8 @@ def load_input_graph(config: PipelineConfig):
     with collector_paused():
         aliases = load_aliases(config.aliases) if config.aliases else {}
         if config.input_format == "articles":
-            records = load_articles(config.input)
-            if aliases:
-                records = apply_aliases(records, aliases)
-            return build_graph(clique_expand(records)), records
+            records = load_articles(config.input, aliases)
+            return build_graph(record.persons for record in records), records
         pairs = read_edge_pairs(config.input)
         if aliases:
             pairs = [(aliases.get(a, a), aliases.get(b, b)) for a, b in pairs]

@@ -1,11 +1,16 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comention import DataError, PipelineConfig, community, read_edge_csv, typology
 from comention import _sweep, centrality, graph, report
@@ -645,6 +650,24 @@ class TestOptionValidation:
         assert run_cli(*argv) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["communities", "induced", "typology", "run"])
+    def test_negative_seed_is_data_error(self, tmp_path, articles, capsys, command):
+        """``np.random.default_rng`` (k-means) rejects a negative seed, so no
+        subcommand takes one."""
+        out = tmp_path / "out"
+        argv = [command, "--input", articles, "--out-dir", out, "--seed", "-1",
+                "--min-community-size", "2"]
+        if command in ("typology", "run"):
+            aff = tmp_path / "affiliations.csv"
+            aff.write_text(AFFILIATIONS, encoding="utf-8")
+            argv += ["--affiliations", aff, "--k", "2"]
+        rc = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: seed must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,option,value", [
         pytest.param("communities", "resolution", "-1", id="resolution=-1"),
         pytest.param("communities", "resolution", "inf", id="resolution=inf"),
@@ -829,6 +852,74 @@ class TestErrorChannels:
         assert "line 4: person name 'Ann \\ud800 X' is not valid Unicode" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind,command", [("articles", "ingest"), ("articles", "run"),
+                                              ("edges", "stats"), ("edges", "run")])
+    def test_name_xml_forbids_is_data_error(self, tmp_path, capsys, kind, command):
+        """XML 1.0 cannot carry U+0001 even as a reference, so graph.graphml could
+        never hold the name; the input is refused at the line that names it."""
+        if kind == "articles":
+            bad = tmp_path / "articles.jsonl"
+            bad.write_text(ARTICLES + '{"id": "s1", "persons": ["L0", "A\\u0001x"]}\n',
+                           encoding="utf-8")
+            where = f"{bad}: line 4: person name 'A\\x01x'"
+        else:
+            bad = tmp_path / "edges.csv"
+            bad.write_text("source,target\nL0,L1\nA\x01x,B\n", encoding="utf-8")
+            where = f"{bad}: line 3: name 'A\\x01x'"
+        out = tmp_path / "out"
+        argv = [command, "--input", bad]
+        if kind == "edges":
+            argv += ["--input-format", "edges"]
+        if command != "stats":
+            argv += ["--out-dir", out]
+        if command == "run":
+            argv += ["--seed", "5", "--min-community-size", "1"]
+        rc = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {where} holds '\\x01', which XML 1.0 forbids" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+SHARED_NAMES = st.sampled_from(["Ann", "Bob", "Cy", " Dee ", "Eve"])
+# mostly shared names, so runs get past ingest; the rest arbitrary Unicode but
+# surrogates, half of them free of control characters
+ANY_NAME = st.one_of(SHARED_NAMES, SHARED_NAMES,
+                     st.text(st.characters(exclude_categories=("Cs", "Cc")), max_size=6),
+                     st.text(st.characters(exclude_categories=("Cs",)), max_size=6))
+
+
+class TestAnyInput:
+    """On any small input, ``run`` refuses the data or writes a run that
+    audits clean."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(articles=st.lists(st.lists(ANY_NAME, min_size=1, max_size=5),
+                             min_size=1, max_size=12),
+           kind=st.sampled_from(["articles", "edges"]))
+    def test_run_refuses_or_audits_clean(self, articles, kind):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            if kind == "articles":
+                source = root / "articles.jsonl"
+                source.write_text("".join(json.dumps({"id": f"a{i}", "persons": p}) + "\n"
+                                          for i, p in enumerate(articles)), encoding="utf-8")
+            else:  # each article's first and last name as one row
+                source = root / "edges.csv"
+                with open(source, "w", encoding="utf-8", newline="") as fh:
+                    csv.writer(fh).writerows([("source", "target")]
+                                             + [(p[0], p[-1]) for p in articles])
+            out = root / "out"
+            with contextlib.redirect_stdout(io.StringIO()) as printed, \
+                    contextlib.redirect_stderr(printed):
+                rc = run_cli("run", "--input", source, "--input-format", kind, "--seed", "1",
+                             "--min-community-size", "1", "--out-dir", out)
+                assert rc in (0, 2), printed.getvalue()
+                if rc == 0:
+                    assert run_cli("audit", "--out-dir", out) == 0, [
+                        line for line in printed.getvalue().splitlines() if "FAIL" in line]
 
 
 class TestStageParity:

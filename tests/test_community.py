@@ -29,7 +29,6 @@ from comention import (
     top_members,
 )
 from comention.community import _one_level
-from comention.ingest import clique_expand
 from comention.synth import benchmark_graph, generate_corpus, planted_partition
 
 
@@ -178,7 +177,7 @@ class TestLouvainGolden:
     @pytest.fixture(scope="class")
     def graphs(self):
         return {"bench-graph": build_graph(benchmark_graph(1390, 4693, seed=11)),
-                "corpus": build_graph(clique_expand(generate_corpus(650, 1312, seed=7)))}
+                "corpus": build_graph(r.persons for r in generate_corpus(650, 1312, seed=7))}
 
     @pytest.mark.parametrize("name,seed,resolution,count,digest", [
         ("bench-graph", 9, 1.0, 15,

@@ -5,20 +5,19 @@ import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comention import (
     ArticleRecord,
     DataError,
-    apply_aliases,
     build_graph,
-    clique_expand,
     ingest_stats,
     load_aliases,
     load_articles,
     normalize_name,
     parse_articles,
 )
-from comention.graph import read_edge_pairs
+from comention.graph import csr_graph, read_edge_pairs
 from comention.ingest import read_name_pairs
 from comention.report import PipelineConfig, load_input_graph
 from comention.typology import load_affiliations
@@ -26,6 +25,15 @@ from comention.typology import load_affiliations
 
 def record(*persons, id="a1", **kw):
     return ArticleRecord(id=id, persons=tuple(persons), **kw)
+
+
+def line(*persons, id="a1"):
+    return json.dumps({"id": id, "persons": list(persons)})
+
+
+def pairs_of(records):
+    """Every co-mention pair, one clique per record, in record order."""
+    return [pair for r in records for pair in itertools.combinations(r.persons, 2)]
 
 
 class TestNormalizeName:
@@ -118,7 +126,7 @@ class TestParseArticles:
         assert list(rec.persons) == want
 
         aliases = {name: canonical[i - 1] for i, name in enumerate(canonical) if i % 3 == 1}
-        (folded,) = apply_aliases([rec], aliases)
+        (folded,) = parse_articles([json.dumps({"id": "big", "persons": mentions})], aliases)
         assert list(folded.persons) == list(dict.fromkeys(aliases.get(n, n) for n in want))
         assert len(folded.persons) == 10_000 - len(aliases)
 
@@ -128,20 +136,88 @@ class TestParseArticles:
         with pytest.raises(DataError, match="articles.jsonl"):
             load_articles(bad)
 
+    @pytest.mark.parametrize("when", [[1], {}, 20200101])
+    def test_non_string_date_carries_line_number(self, when):
+        bad = json.dumps({"id": "a2", "date": when, "persons": ["A", "B"]})
+        with pytest.raises(DataError, match="line 2: 'date' must look like YYYY-MM-DD"):
+            parse_articles(['{"id":"a1","date":"2020-01-01","persons":["A","B"]}', bad])
+
+    def test_repeated_bad_date_fails_on_its_first_line(self):
+        lines = [json.dumps({"id": f"a{i}", "date": when, "persons": ["A", "B"]})
+                 for i, when in enumerate(["2020-01-01", "2020-01-01", "2020-02-30",
+                                           "2020-02-30"])]
+        with pytest.raises(DataError, match="line 3: 'date' is not a real calendar date"):
+            parse_articles(lines)
+        assert [r.date for r in parse_articles(lines[:2])] == ["2020-01-01"] * 2
+
+    @pytest.mark.parametrize("payload", [
+        '\ufeff{"id":"a1","persons":["A","B"]}\n',
+        '{"id":"a1","persons":["A","B"]} {"id":"a2"}\n',
+        '{"id":"a1","persons":["A","B"]\n',
+        '{"id":"a1","persons":["A","B"]},\n',
+        "nul\n",
+    ], ids=["bom", "extra-data", "unclosed", "trailing-comma", "bad-literal"])
+    def test_invalid_json_message_is_json_loads_own(self, payload):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(payload)
+        with pytest.raises(DataError) as got:
+            parse_articles([payload])
+        assert str(got.value) == f"line 1: invalid JSON: {want.value.msg}"
+
+    @pytest.mark.parametrize("payload", [
+        ' {"id":"a1","persons":["A","B"]}\n',
+        '{"id":"a1","persons":["A","B"]} \t\r\n',
+        '{"id":"a1","persons":["A","B"]}',
+    ], ids=["leading-space", "trailing-space", "no-newline"])
+    def test_surrounding_whitespace_parses_as_json_loads_does(self, payload):
+        assert parse_articles([payload]) == [record("A", "B")]
+
+
+class TestForbiddenCharacters:
+    """A name that XML 1.0 cannot carry fails where it is first normalized."""
+
+    FORBIDDEN = ["\x00", "\x01", "\x08", "\x0e", "\x1b", "\ufffe", "\uffff"]
+
+    @pytest.mark.parametrize("char", FORBIDDEN)
+    def test_article_name_rejected_with_line(self, char):
+        bad = line("A", f"B{char}x", id="a2")
+        with pytest.raises(DataError, match="line 2: person name .* which XML 1.0 forbids"):
+            parse_articles([line("A", "B"), bad])
+
+    def test_load_articles_names_the_file(self, tmp_path):
+        path = tmp_path / "articles.jsonl"
+        path.write_text(line("A\u0001x", "B") + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"articles\.jsonl: line 1: person name 'A\\x01x' "
+                                            r"holds '\\x01'"):
+            load_articles(path)
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1f"])
+    def test_whitespace_controls_are_normalized_away(self, char):
+        assert parse_articles([line(f"A{char}x", "B")])[0].persons == ("A x", "B")
+
+    @pytest.mark.parametrize("char", ["\x7f", "\x80", "\ufffd"])
+    def test_characters_xml_allows_are_kept(self, tmp_path, char):
+        assert parse_articles([line(f"A{char}x", "B")])[0].persons == (f"A{char}x", "B")
+        f = tmp_path / "edges.csv"
+        f.write_text(f"source,target\nA{char}x,B\n", encoding="utf-8")
+        assert read_edge_pairs(f) == [(f"A{char}x", "B")]
+
 
 class TestAliases:
+    """Aliases fold inside the parser, onto normalized names."""
+
     def test_example_substitution(self):
-        recs = [record("Slyunyaev I.", "Someone Else")]
-        out = apply_aliases(recs, {"Slyunyaev I.": "Albin I."})
-        assert out[0].persons == ("Albin I.", "Someone Else")
+        recs = parse_articles([line("Slyunyaev I.", "Someone Else")],
+                              {"Slyunyaev I.": "Albin I."})
+        assert recs[0].persons == ("Albin I.", "Someone Else")
 
     def test_empty_map_identity(self):
-        recs = [record("A", "B")]
-        assert apply_aliases(recs, {}) == recs
+        lines = [line("A", "B"), line(" B ", "C", id="a2")]
+        assert parse_articles(lines, {}) == parse_articles(lines)
 
     def test_substitution_can_merge_persons(self):
-        out = apply_aliases([record("A", "B")], {"B": "A"})
-        assert out[0].persons == ("A",)
+        recs = parse_articles([line("A", "B"), line("B", " A ", "C", id="a2")], {"B": "A"})
+        assert [r.persons for r in recs] == [("A",), ("A", "C")]
 
     def test_idempotent_on_random_maps(self):
         rng = np.random.default_rng(43)
@@ -152,12 +228,13 @@ class TestAliases:
             aliases = {
                 a: canon[rng.integers(len(canon))] for a in alias_keys
             }
-            recs = [
-                record(*rng.choice(names, size=4, replace=False), id=f"r{j}")
+            lines = [
+                line(*rng.choice(names, size=4, replace=False).tolist(), id=f"r{j}")
                 for j in range(10)
             ]
-            once = apply_aliases(recs, aliases)
-            assert apply_aliases(once, aliases) == once
+            once = parse_articles(lines, aliases)
+            again = [line(*r.persons, id=r.id) for r in once]
+            assert parse_articles(again, aliases) == once
             for rec in once:
                 assert not set(rec.persons) & set(aliases)
 
@@ -210,20 +287,30 @@ class TestReadNamePairs:
         with pytest.raises(DataError, match=message):
             loader(f)
 
+    @pytest.mark.parametrize("loader,header", LOADERS)
+    @pytest.mark.parametrize("row", ["A\x01x,press", "B,press\ufffe"])
+    def test_name_xml_forbids_rejected_with_line(self, tmp_path, loader, header, row):
+        f = tmp_path / "pairs.csv"
+        f.write_text(f"{header}\nC,press\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"pairs\.csv: line 3: name .* which XML 1\.0 forbids"):
+            loader(f)
+
 
 class TestCliqueExpand:
+    """``build_graph`` expands each group into the clique over its names."""
+
     def test_three_person_record(self):
-        pairs = list(clique_expand([record("A", "B", "C")]))
-        assert pairs == [("A", "B"), ("A", "C"), ("B", "C")]
+        g = build_graph([record("A", "B", "C").persons])
+        assert list(g.edges()) == [("A", "B"), ("A", "C"), ("B", "C")]
 
     def test_singleton_record_yields_nothing(self):
-        assert list(clique_expand([record("A")])) == []
+        g = build_graph([("A",), ("B", "C"), ()])
+        assert g.names == ("B", "C") and g.edge_count == 1
 
     def test_pair_count_formula(self):
-        for k in range(51):
-            rec = record(*(f"p{i}" for i in range(k)), id="r")
-            got = list(clique_expand([rec]))
-            assert len(got) == k * (k - 1) // 2
+        for k in range(2, 51):
+            g = build_graph([tuple(f"p{i}" for i in range(k))])
+            assert g.edge_count == k * (k - 1) // 2
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(47)
@@ -235,25 +322,27 @@ class TestCliqueExpand:
             )
             for j in range(50)
         ]
-        got = sorted(clique_expand(recs))
         want = []
         for rec in recs:
             ps = rec.persons
             for i in range(len(ps)):
                 for j in range(i + 1, len(ps)):
                     want.append((ps[i], ps[j]))
-        assert got == sorted(want)
+        got, oracle = build_graph(r.persons for r in recs), build_graph(want)
+        assert got.names == oracle.names
+        assert np.array_equal(got.indptr, oracle.indptr)
+        assert np.array_equal(got.adjacency, oracle.adjacency)
 
     def test_graph_nodes_are_co_mentioned_persons(self):
         recs = [record("A", "B"), record("Alone", id="a2")]
-        g = build_graph(list(clique_expand(recs)))
+        g = build_graph(r.persons for r in recs)
         assert set(g.names) == {"A", "B"}
 
 
 class TestIngestStats:
     def test_single_pair(self):
         recs = [record("A", "B")]
-        g = build_graph(list(clique_expand(recs)))
+        g = build_graph(r.persons for r in recs)
         stats = ingest_stats(recs, g)
         assert stats["persons_distinct"] == 2
         assert stats["edges"] == 1
@@ -261,9 +350,9 @@ class TestIngestStats:
 
     def test_collapsed_duplicates_match_set_oracle(self):
         recs = [record("A", "B", "C"), record("A", "B", id="a2")]
-        g = build_graph(list(clique_expand(recs)))
+        g = build_graph(r.persons for r in recs)
         stats = ingest_stats(recs, g)
-        emitted = list(clique_expand(recs))
+        emitted = pairs_of(recs)
         distinct = {frozenset(p) for p in emitted}
         assert stats["pair_slots"] == len(emitted) == 4
         assert stats["unique_pairs"] == len(distinct) == 3
@@ -279,9 +368,9 @@ class TestIngestStats:
             )
             for j in range(60)
         ]
-        g = build_graph(list(clique_expand(recs)))
+        g = build_graph(r.persons for r in recs)
         stats = ingest_stats(recs, g)
-        emitted = list(clique_expand(recs))
+        emitted = pairs_of(recs)
         assert stats["pair_slots"] == len(emitted)
         assert stats["unique_pairs"] == len({frozenset(p) for p in emitted})
         assert stats["edges"] == g.edge_count == stats["unique_pairs"]
@@ -292,7 +381,7 @@ class TestIngestStats:
             record("C", "D", id="a2", date="2013-01-09"),
             record("E", "F", id="a3"),
         ]
-        g = build_graph(list(clique_expand(recs)))
+        g = build_graph(r.persons for r in recs)
         stats = ingest_stats(recs, g)
         assert stats["date_min"] == "2013-01-09"
         assert stats["date_max"] == "2015-03-01"
@@ -344,3 +433,85 @@ class TestLoadInputGraph:
             assert gc.get_freeze_count() == frozen
         finally:
             gc.unfreeze()
+
+
+def reference_apply_aliases(records, aliases):
+    """Alias folding as a pass over parsed records, as it was before the
+    parser's name memo folded them."""
+    out = []
+    for r in records:
+        folded = tuple(dict.fromkeys(aliases.get(name, name) for name in r.persons))
+        out.append(ArticleRecord(r.id, folded, r.title, r.date))
+    return out
+
+
+def reference_build_graph(pairs):
+    """``build_graph`` as a loop interning one pair at a time."""
+    index = {}
+    intern = index.setdefault
+    ids = []
+    for a, b in pairs:
+        if not isinstance(a, str) or not isinstance(b, str) or not a or not b:
+            raise DataError(f"edge endpoint must be a non-empty string, got ({a!r}, {b!r})")
+        if a == b:
+            continue
+        ids += (intern(a, len(index)), intern(b, len(index)))
+    if not ids:
+        raise DataError("no usable edges after dropping self-pairs and duplicates")
+    return csr_graph(tuple(index), np.array(ids, dtype=np.int64).reshape(-1, 2))
+
+
+def built(build, source):
+    """``build(source)`` as (names, indptr, adjacency), or the DataError text."""
+    try:
+        g = build(source)
+    except DataError as exc:
+        return str(exc)
+    return g.names, g.indptr.dtype, g.indptr.tolist(), g.adjacency.dtype, g.adjacency.tolist()
+
+
+BASE_NAMES = ["Ann", "Bob", "Cy", "Dee", "Eve", "Séguin"]
+# raw spellings of each name: as is, padded, tab-separated, decomposed
+SPELLINGS = [s for n in BASE_NAMES
+             for s in (n, f" {n} ", f"{n}\t", unicodedata.normalize("NFD", n))] + ["", "  "]
+
+
+@st.composite
+def corpora(draw):
+    """(JSONL lines, alias map): 1-12 articles of 1-5 raw mentions, repeats
+    and single-person articles included, and an idempotent alias map."""
+    lines = []
+    for i in range(draw(st.integers(1, 12))):
+        mentions = draw(st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=5))
+        when = draw(st.sampled_from([None, "2019-05-04", "2020-02-29"]))
+        lines.append(json.dumps({"id": f"a{i}", "persons": mentions, "date": when}))
+    canonical = draw(st.lists(st.sampled_from(BASE_NAMES + ["Zed"]), min_size=1, unique=True))
+    rest = [n for n in BASE_NAMES if n not in canonical]
+    aliased = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    aliases = {a: draw(st.sampled_from(canonical)) for a in aliased}
+    return lines, aliases
+
+
+class TestFoldAndCliqueEquivalence:
+    """The parser's fold and the clique builder against the record-by-record
+    fold and the pairwise interning loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=corpora())
+    def test_articles(self, corpus):
+        lines, aliases = corpus
+        records = parse_articles(lines, aliases)
+        reference = reference_apply_aliases(parse_articles(lines), aliases)
+        assert records == reference
+        got = built(build_graph, (r.persons for r in records))
+        want = built(reference_build_graph, pairs_of(reference))
+        assert got == want
+        if not isinstance(got, str):
+            assert (ingest_stats(records, build_graph(r.persons for r in records))
+                    == ingest_stats(reference, reference_build_graph(pairs_of(reference))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.sampled_from(BASE_NAMES + [""]),
+                                    st.sampled_from(BASE_NAMES)), max_size=30))
+    def test_edge_lists(self, pairs):
+        assert built(build_graph, iter(pairs)) == built(reference_build_graph, pairs)

@@ -1,4 +1,5 @@
-"""The bytes of ``comention run`` on the two canonical inputs at 1/8 scale.
+"""The bytes of ``comention run`` on the two canonical inputs at 1/8 scale,
+and of ``comention ingest --aliases`` on a small corpus.
 
 Every file or column pinned by sha256 here comes from integer work,
 ``bincount`` sums and IEEE division only, so its bytes must not move when an
@@ -130,6 +131,46 @@ def assert_close(got, want, where):
             assert_close(g, w, f"{where}[{i}]")
     else:
         assert close(got, want), (where, got, want)
+
+
+# `ingest --aliases` on write_alias_inputs' corpus
+ALIAS_PINS = {
+    "edges.csv": "d84020811a4c50558a19a0fa01e1c995d728d1c0c004d316c3226108f3630996",
+    "ingest_stats.json": "4c1e531248983926ad3fbc14e68efadbdbd0fd1535e7355518e7c5de1529d632",
+}
+
+
+def write_alias_inputs(directory):
+    """A 200-article corpus whose alias table folds persons named in the same
+    article onto each other; some mentions and alias rows carry stray
+    whitespace, so the fold runs on normalized names.  Two leading articles
+    fold down to one person each, so neither adds a node."""
+    records = synth.generate_corpus(200, 400, 5)
+    names = sorted({p for r in records for p in r.persons})
+    # every seventh name from the second on folds onto its predecessor, which
+    # is never an alias; neighbours share the corpus's coverage articles
+    aliases = {names[i]: names[i - 1] for i in range(1, len(names), 7)}
+    aliases["Lone A."] = "Lone B."
+    lines = ['{"id": "x1", "persons": ["Lone A.", "Lone B.", " Lone  A."]}',
+             '{"id": "x2", "persons": ["P00008", "P00007"]}']
+    for j, r in enumerate(records):
+        persons = [f"  {p}\t" if (j + k) % 5 == 0 else p for k, p in enumerate(r.persons)]
+        lines.append(json.dumps({"id": r.id, "persons": persons, "date": r.date}))
+    path = directory / "articles.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = directory / "aliases.csv"
+    table.write_text("alias,canonical\n" + "".join(
+        f" {a} ,{c}\n" if i % 2 else f"{a},{c}\n"
+        for i, (a, c) in enumerate(aliases.items())), encoding="utf-8")
+    return ["--input", path, "--aliases", table]
+
+
+def test_alias_ingest_pinned(tmp_path):
+    """The bytes of ``ingest --aliases`` when aliases merge persons within an article."""
+    out = tmp_path / "out"
+    assert main(["ingest", *map(str, write_alias_inputs(tmp_path)), "--out-dir", str(out)]) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ALIAS_PINS}
+    assert digests == ALIAS_PINS
 
 
 @pytest.mark.parametrize("name", sorted(PINS))

@@ -46,7 +46,6 @@ from comention.report import (
     write_centrality_files,
     write_induced_files,
 )
-from comention.ingest import clique_expand
 from comention.synth import benchmark_graph, generate_corpus, write_articles_jsonl
 
 CLIQUE_ARTICLES = [
@@ -421,7 +420,7 @@ class TestGraphML:
         """Both canonical inputs at 1/8 scale, each with its Louvain partition
         and centrality bundle."""
         graphs = {"bench-graph": build_graph(benchmark_graph(1390, 4693, seed=11)),
-                  "corpus": build_graph(clique_expand(generate_corpus(650, 1312, seed=7)))}
+                  "corpus": build_graph(r.persons for r in generate_corpus(650, 1312, seed=7))}
         return {name: (g, louvain(g, seed=7), compute_bundle(g, threads=1))
                 for name, g in graphs.items()}
 
