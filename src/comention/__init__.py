@@ -7,10 +7,10 @@ types, and emits machine-readable reports for all of the above.
 """
 
 from .errors import ConvergenceError, DataError
-from .graph import (ComponentLabeling, Graph, build_graph, connected_components,
-                    degree_histogram, density, diameter, read_edge_csv,
+from .graph import (ComponentLabeling, Graph, build_graph, clique_graph,
+                    connected_components, degree_histogram, density, diameter,
                     write_edge_csv)
-from .ingest import (AliasMap, ArticleRecord, ingest_stats, load_aliases,
+from .ingest import (AliasMap, Articles, ingest_stats, load_aliases,
                      load_articles, normalize_name, parse_articles)
 from .centrality import (CentralityBundle, TopTable, betweenness_centrality,
                          closeness_centrality, clustering_coefficient,

@@ -17,7 +17,7 @@ from .graph import density, diameter as graph_diameter
 from .ingest import open_text
 from .powerlaw import fit_mle
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("comention.cli")  # not "__main__" under python -m
 
 
 class Parser(argparse.ArgumentParser):

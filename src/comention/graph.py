@@ -6,9 +6,9 @@ import csv
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, count
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,10 +45,6 @@ class Graph:
         return np.diff(self.indptr)
 
     @cached_property
-    def name_to_id(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
-
-    @cached_property
     def name_order(self) -> np.ndarray:
         """Each node's position among all names sorted ascending."""
         order = np.empty(self.node_count, dtype=np.int64)
@@ -56,27 +52,11 @@ class Graph:
             np.arange(self.node_count)
         return order
 
-    def check_node(self, v: int) -> int:
-        v = int(v)
-        if not 0 <= v < self.node_count:
-            raise DataError(f"node id {v} out of range 0..{self.node_count - 1}")
-        return v
-
-    def neighbors(self, v: int) -> np.ndarray:
-        v = self.check_node(v)
-        return self.adjacency[self.indptr[v]:self.indptr[v + 1]]
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Every undirected edge once, as parallel (u, v) arrays with u < v."""
         src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
         keep = src < self.adjacency
         return src[keep], self.adjacency[keep].astype(np.int64)
-
-    def edges(self) -> Iterator[tuple[str, str]]:
-        """Named edges in ascending (u, v) id order."""
-        us, vs = self.edge_arrays()
-        for u, v in zip(us.tolist(), vs.tolist()):
-            yield self.names[u], self.names[v]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,50 +80,56 @@ class ComponentLabeling:
 def build_graph(groups: Iterable[Sequence[str]]) -> Graph:
     """Intern names and build the deduplicated undirected graph of cliques.
 
-    Every group of names links each two of its members: an edge list passes
-    2-tuples, an article corpus each record's persons.  ``groups`` is read
-    once.  Self-pairs are dropped, repeated pairs collapse to one edge, and
-    node ids follow first appearance among the pairs, so a group without two
-    distinct names adds no node.  Raises :class:`DataError` on a name that is
-    not a non-empty string, or when no usable edge survives cleanup.
+    Every group of names links each two of its members; an edge list passes
+    2-tuples.  ``groups`` is read once.  Names are keyed in first appearance
+    and handed to :func:`clique_graph`.  Raises :class:`DataError` on a name
+    that is not a non-empty string, or as :func:`clique_graph` does.
     """
-    names, ids, sizes = _intern(groups)
-    return csr_graph(names, _clique_pairs(ids, sizes))
-
-
-def _intern(groups) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """``(names, ids, sizes)`` of the groups that hold two distinct names:
-    node names in first appearance, each such group's node ids laid end to
-    end, and each such group's size."""
     groups = list(groups)
     flat = list(chain.from_iterable(groups))
     index: dict[str, int] = {}
-    try:  # each slot's key: the first slot holding its name
-        keys = np.fromiter(map(index.setdefault, flat, count()), np.int64, len(flat))
+    try:  # each slot's first slot holding its name, in C
+        firsts = np.fromiter(map(index.setdefault, flat, count()), np.int64, len(flat))
     except TypeError:  # an unhashable name
-        keys = None
-    if keys is None or not all(isinstance(name, str) and name for name in index):
+        firsts = None
+    if firsts is None or not all(isinstance(name, str) and name for name in index):
         bad = next(g for g in groups if not all(isinstance(n, str) and n for n in g))
         raise DataError("edge endpoint must be a non-empty string, "
                         f"got ({', '.join(map(repr, bad))})")
-    sizes = np.fromiter(map(len, groups), np.int64, len(groups))
+    keys = np.zeros(len(flat), dtype=np.int64)  # a name's key, at its first slot
+    keys[np.fromiter(index.values(), np.int64, len(index))] = np.arange(len(index))
+    return clique_graph(tuple(index), keys[firsts],
+                        np.fromiter(map(len, groups), np.int64, len(groups)))
+
+
+def clique_graph(names: Sequence[str], keys: np.ndarray, sizes: np.ndarray) -> Graph:
+    """The deduplicated undirected graph linking each two members of a group.
+
+    ``keys`` holds the groups' name keys (indices into ``names``) end to end
+    and ``sizes`` each group's length; an article corpus passes its
+    :class:`~comention.ingest.Articles` columns.  Self-pairs are dropped,
+    repeated pairs collapse to one edge, and node ids follow first appearance
+    among the pairs, so a group without two distinct keys adds no node.
+    Raises :class:`DataError` when no usable edge survives cleanup.
+    """
     starts = np.cumsum(sizes) - sizes
-    # a linked group holds two distinct names, so it adds a pair
+    # a linked group holds two distinct keys, so it adds a pair
     linked = sizes > 1
     linked[linked] = (np.minimum.reduceat(keys, starts[linked])
                       != np.maximum.reduceat(keys, starts[linked]))
     if not linked.any():
         raise DataError("no usable edges after dropping self-pairs and duplicates")
-    # first[key]: the name's first slot in a linked group, which is where it
+    # first[key]: the key's first slot in a linked group, which is where it
     # first appears among the pairs; its node opens there, and ids count the
     # nodes in that order
     slots = np.flatnonzero(np.repeat(linked, sizes))
-    first = np.full(keys.size, keys.size)
+    first = np.full(len(names), keys.size)
     np.minimum.at(first, keys[slots], slots)
     opens = np.zeros(keys.size, dtype=bool)
     opens[first[first < keys.size]] = True
     ids = (np.cumsum(opens) - 1)[first[keys[slots]]]
-    return tuple(compress(flat, opens.tolist())), ids, sizes[linked]
+    node_names = tuple(map(names.__getitem__, keys[opens].tolist()))
+    return csr_graph(node_names, _clique_pairs(ids, sizes[linked]))
 
 
 def _clique_pairs(ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -289,8 +275,3 @@ def read_edge_pairs(path) -> list[tuple[str, str]]:
     if not pairs:
         raise DataError(f"{path}: no edges")
     return pairs
-
-
-def read_edge_csv(path) -> Graph:
-    """Load a two-column edge CSV produced by :func:`write_edge_csv`."""
-    return build_graph(read_edge_pairs(path))

@@ -11,7 +11,9 @@ import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as _date
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import DataError
 from .graph import Graph, density
@@ -30,14 +32,23 @@ def normalize_name(raw: str) -> str:
     return " ".join(unicodedata.normalize("NFC", raw).split())
 
 
-@dataclass(frozen=True, slots=True)
-class ArticleRecord:
-    """One ingested article: id, ordered distinct persons, optional title/date."""
+@dataclass(frozen=True, eq=False)
+class Articles:
+    """A parsed corpus in columns, one integer key per distinct person.
 
-    id: str
-    persons: tuple[str, ...]
-    title: str | None = None
-    date: str | None = None
+    ``names[key]`` is the folded name of ``key``; ``keys`` holds each kept
+    record's distinct persons end to end, first mention first, and ``sizes``
+    the number of persons in each kept record; ``dates`` holds the distinct
+    dates of kept records.  ``len()`` is the number of kept records.
+    """
+
+    names: tuple[str, ...]
+    keys: np.ndarray
+    sizes: np.ndarray
+    dates: frozenset[str]
+
+    def __len__(self) -> int:
+        return self.sizes.size
 
 
 _JSON = json.JSONDecoder()
@@ -70,26 +81,31 @@ def _name_error(name: str) -> str | None:
 
 
 class _Memo:
-    """What one parse has already checked: raw mention -> folded name, and
-    the dates found valid."""
+    """What one parse has already checked: raw mention -> key of its folded
+    name (-1 for a blank one), folded name -> key, and the dates found valid.
+
+    Keys count the folded names in the order they are first mentioned.
+    """
 
     def __init__(self, aliases: Mapping[str, str]):
-        self.names: dict[str, str] = {}
-        self.known = self.names.__getitem__
+        self.keys: dict[str, int] = {}
+        self.known = self.keys.__getitem__
+        self.index: dict[str, int] = {}
         self.dates: set[str] = set()
         self.fold = aliases.get
 
-    def name(self, raw, lineno: int) -> str:
+    def key(self, raw, lineno: int) -> int:
         if not isinstance(raw, str):  # before the lookup: a list is unhashable
             raise DataError(f"line {lineno}: person entries must be strings, got {raw!r}")
-        name = self.names.get(raw)
-        if name is None:
+        key = self.keys.get(raw)
+        if key is None:
             name = normalize_name(raw)
             problem = _name_error(name)
             if problem:
                 raise DataError(f"line {lineno}: person name {raw!r} {problem}")
-            name = self.names[raw] = self.fold(name, name)
-        return name
+            name = self.fold(name, name)
+            key = self.keys[raw] = self.index.setdefault(name, len(self.index)) if name else -1
+        return key
 
     def check_date(self, when, lineno: int) -> None:
         if not isinstance(when, str) or not _DATE_RE.match(when):
@@ -101,7 +117,9 @@ class _Memo:
         self.dates.add(when)
 
 
-def _parse_line(payload: str, lineno: int, memo: _Memo) -> ArticleRecord | None:
+def _parse_line(payload: str, lineno: int, memo: _Memo) -> tuple[dict, str | None] | None:
+    """The record's distinct person keys (an insertion-ordered dict) and its
+    date, or None for a record left with no persons."""
     try:
         obj = _json_value(payload)
     except json.JSONDecodeError as exc:
@@ -127,35 +145,42 @@ def _parse_line(payload: str, lineno: int, memo: _Memo) -> ArticleRecord | None:
     try:  # every mention seen before: one pass in C
         persons = dict.fromkeys(map(memo.known, persons_raw))  # insertion-ordered set
     except (KeyError, TypeError):
-        persons = dict.fromkeys([memo.name(raw, lineno) for raw in persons_raw])
-    persons.pop("", None)
+        persons = dict.fromkeys([memo.key(raw, lineno) for raw in persons_raw])
+    persons.pop(-1, None)
     if not persons:
         logger.warning("line %d: record %r mentions no usable person, skipping", lineno, rid)
         return None
-    return ArticleRecord(rid, tuple(persons), title, when)
+    return persons, when
 
 
-def parse_articles(lines: Iterable[str],
-                   aliases: Mapping[str, str] | None = None) -> list[ArticleRecord]:
-    """Parse JSONL article records, folding aliased names.
+def parse_articles(lines: Iterable[str], aliases: Mapping[str, str] | None = None) -> Articles:
+    """Parse JSONL article records, folding aliased names, into columns.
 
     Each non-blank line must be an object with a non-empty string ``id`` and a
-    ``persons`` list; ``title`` and ``date`` (YYYY-MM-DD) are optional.  Person
-    names are normalized, renamed by ``aliases`` (an idempotent alias ->
-    canonical map, as :func:`load_aliases` returns) and deduplicated per
-    record, first mention first.  A malformed line, or a name that XML 1.0
-    cannot carry, raises :class:`DataError` carrying its line number; a record
-    left with no persons is skipped with a warning.
+    ``persons`` list; ``title`` and ``date`` (YYYY-MM-DD) are optional and
+    only checked, as is the id.  Person names are normalized, renamed by
+    ``aliases`` (an idempotent alias -> canonical map, as :func:`load_aliases`
+    returns) and deduplicated per record, first mention first.  A malformed
+    line, or a name that XML 1.0 cannot carry, raises :class:`DataError`
+    carrying its line number; a record left with no persons is skipped with a
+    warning.
     """
-    records: list[ArticleRecord] = []
     memo = _Memo(aliases or {})
+    keys: list[int] = []
+    sizes: list[int] = []
+    dates: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         if not line or line.isspace():
             continue
-        record = _parse_line(line, lineno, memo)
-        if record is not None:
-            records.append(record)
-    return records
+        kept = _parse_line(line, lineno, memo)
+        if kept is not None:
+            persons, when = kept
+            keys += persons
+            sizes.append(len(persons))
+            if when is not None:
+                dates.add(when)
+    return Articles(tuple(memo.index), np.array(keys, dtype=np.int64),
+                    np.array(sizes, dtype=np.int64), frozenset(dates))
 
 
 @contextmanager
@@ -191,7 +216,7 @@ def collector_paused():
             gc.enable()
 
 
-def load_articles(path, aliases: Mapping[str, str] | None = None) -> list[ArticleRecord]:
+def load_articles(path, aliases: Mapping[str, str] | None = None) -> Articles:
     """:func:`parse_articles` over a JSONL file; errors name the file."""
     with open_text(path) as fh:
         try:
@@ -210,6 +235,9 @@ def read_name_pairs(path, header: tuple[str, str]) -> Iterator[tuple[int, str, s
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
+        if first and first[0].startswith("\ufeff"):  # the header would look right
+            raise DataError(f"{path}: line 1: unexpected UTF-8 byte-order mark (BOM); "
+                            "save the file without one")
         if first is None or [h.strip().lower() for h in first[:2]] != list(header):
             raise DataError(f"{path}: expected header '{','.join(header)}'")
         for lineno, row in enumerate(reader, start=2):
@@ -250,25 +278,18 @@ def load_aliases(path) -> dict[str, str]:
     return aliases
 
 
-def ingest_stats(records: Sequence[ArticleRecord], g: Graph) -> dict:
-    """Corpus-level counts next to the graph ``g`` built from ``records``.
+def ingest_stats(articles: Articles, g: Graph) -> dict:
+    """Corpus-level counts next to the graph ``g`` built from ``articles``.
 
     Every distinct co-mention pair is one edge of ``g``, so ``unique_pairs``
     is its edge count.
     """
-    persons: set[str] = set()
-    pair_slots = 0
-    dates: list[str] = []
-    for record in records:
-        persons.update(record.persons)
-        k = len(record.persons)
-        pair_slots += k * (k - 1) // 2
-        if record.date:
-            dates.append(record.date)
+    sizes, dates = articles.sizes, articles.dates
     return {
-        "articles": len(records),
-        "persons_distinct": len(persons),
-        "pair_slots": pair_slots,
+        "articles": len(articles),
+        "persons_distinct": int(np.count_nonzero(np.bincount(articles.keys,
+                                                             minlength=len(articles.names)))),
+        "pair_slots": int((sizes * (sizes - 1) // 2).sum()),
         "unique_pairs": g.edge_count,
         "nodes": g.node_count,
         "edges": g.edge_count,

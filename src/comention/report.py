@@ -22,9 +22,9 @@ from . import centrality as centrality_mod
 from . import community as community_mod
 from .centrality import FLOAT_FORMAT
 from .errors import DataError
-from .graph import (Graph, build_graph, connected_components, csr_graph, density,
-                    diameter as graph_diameter, read_edge_pairs, write_edge_csv)
-from .ingest import collector_paused, ingest_stats, load_aliases, load_articles
+from .graph import (Graph, build_graph, clique_graph, connected_components, csr_graph,
+                    density, diameter as graph_diameter, read_edge_pairs, write_edge_csv)
+from .ingest import Articles, collector_paused, ingest_stats, load_aliases, load_articles
 from .community import InducedGraph, Partition
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog
 from .typology import (CATEGORIES, assign_types, build_profiles, kmeans,
@@ -182,12 +182,12 @@ class ReportBundle:
 
 
 def load_input_graph(config: PipelineConfig):
-    """Read articles or an edge list per config; returns (graph, records or None)."""
+    """Read articles or an edge list per config; returns (graph, articles or None)."""
     with collector_paused():
         aliases = load_aliases(config.aliases) if config.aliases else {}
         if config.input_format == "articles":
-            records = load_articles(config.input, aliases)
-            return build_graph(record.persons for record in records), records
+            articles = load_articles(config.input, aliases)
+            return clique_graph(articles.names, articles.keys, articles.sizes), articles
         pairs = read_edge_pairs(config.input)
         if aliases:
             pairs = [(aliases.get(a, a), aliases.get(b, b)) for a, b in pairs]
@@ -382,8 +382,8 @@ class PipelineRun:
         return out
 
     @cached_property
-    def source(self) -> tuple[Graph, list | None]:
-        """The graph and, for article input, the alias-folded records."""
+    def source(self) -> tuple[Graph, Articles | None]:
+        """The graph and, for article input, the parsed alias-folded articles."""
         return load_input_graph(self.config)
 
     @property
@@ -497,11 +497,11 @@ SUMMARY_FIELDS = {
 
 def write_ingest_files(run: PipelineRun) -> list[str]:
     """edges.csv, plus ingest_stats.json for article input."""
-    g, records = run.source
+    g, articles = run.source
     write_edge_csv(g, run.out / F_EDGES)
-    if records is None:
+    if articles is None:
         return [F_EDGES]
-    write_json(run.out / F_INGEST, ingest_stats(records, g))
+    write_json(run.out / F_INGEST, ingest_stats(articles, g))
     return [F_EDGES, F_INGEST]
 
 

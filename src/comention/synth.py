@@ -7,11 +7,22 @@ fixtures are exactly reproducible.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import ArticleRecord
+
+
+@dataclass(frozen=True, slots=True)
+class ArticleRecord:
+    """One generated article: id, ordered distinct persons, optional title/date."""
+
+    id: str
+    persons: tuple[str, ...]
+    title: str | None = None
+    date: str | None = None
+
 
 _SIZES = np.array([2, 3, 4, 5, 6])
 _SIZE_PROBS = np.array([0.35, 0.30, 0.20, 0.10, 0.05])

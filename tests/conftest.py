@@ -59,6 +59,19 @@ def id_pairs(g):
     return list(zip(us.tolist(), vs.tolist()))
 
 
+def named_edges(g):
+    """Graph edges as name tuples, in ascending (u, v) id order."""
+    return [(g.names[u], g.names[v]) for u, v in id_pairs(g)]
+
+
+def article_groups(articles):
+    """Each kept record's persons of a parsed corpus, as a tuple of names."""
+    ends = np.cumsum(articles.sizes).tolist()
+    keys = articles.keys.tolist()
+    return [tuple(articles.names[k] for k in keys[start:end])
+            for start, end in zip([0] + ends[:-1], ends)]
+
+
 def adjacency_sets(n, pairs):
     adj = [set() for _ in range(n)]
     for u, v in pairs:

@@ -5,14 +5,17 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comention import DataError, PipelineConfig, community, read_edge_csv, typology
+from comention import DataError, PipelineConfig, community, typology
 from comention import _sweep, centrality, graph, report
 from comention.cli import build_parser, main
 
@@ -124,6 +127,20 @@ class TestIngest:
         stats = json.loads((out / "ingest_stats.json").read_text())
         assert stats["articles"] == 3
         assert stats["persons_distinct"] == 10
+
+    def test_module_form_logs_as_comention_cli(self, tmp_path, articles):
+        """``python -m comention.cli`` (how the benchmark runs it) logs under
+        the same name as the console script, not ``__main__``."""
+        src = str(Path(report.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "comention.cli", "ingest", "--input", str(articles),
+             "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("INFO comention.cli: wrote ")
+        assert "__main__" not in proc.stderr
 
     def test_aliases_applied(self, tmp_path, articles):
         aliases = tmp_path / "aliases.csv"
@@ -1014,7 +1031,7 @@ class TestEdgesInput:
         edges = tmp_path / "edges.csv"
         edges.write_text(text, encoding="utf-8")
         with pytest.raises(DataError) as err:
-            read_edge_csv(edges)
+            graph.read_edge_pairs(edges)
         rc = run_cli("stats", "--input", edges, "--input-format", "edges")
         assert rc == 2
         assert capsys.readouterr().err == f"error: {err.value}\n"

@@ -63,8 +63,8 @@ class TestLouvain:
         g = two_cliques()
         p = louvain(g, seed=5)
         assert p.count == 2
-        left = {p.labels[g.name_to_id[f"L{i}"]] for i in range(5)}
-        right = {p.labels[g.name_to_id[f"R{i}"]] for i in range(5)}
+        left = {p.labels[g.names.index(f"L{i}")] for i in range(5)}
+        right = {p.labels[g.names.index(f"R{i}")] for i in range(5)}
         assert len(left) == len(right) == 1
         assert left != right
 
@@ -515,7 +515,7 @@ class TestTopMembers:
         bundle = compute_bundle(g)
         p = Partition.from_labels([0] * 4)
         got = top_members(g, p, bundle, [0], k=4)[0]
-        scores = [bundle.betweenness[g.name_to_id[n]] for n in got]
+        scores = [bundle.betweenness[g.names.index(n)] for n in got]
         assert scores == sorted(scores, reverse=True)
 
     def test_matches_sort_oracle(self):
@@ -530,7 +530,7 @@ class TestTopMembers:
             want = sorted(
                 (g.names[v] for v in members),
                 key=lambda n: (
-                    -bundle.betweenness[g.name_to_id[n]],
+                    -bundle.betweenness[g.names.index(n)],
                     n,
                 ),
             )[:3]

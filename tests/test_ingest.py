@@ -7,33 +7,42 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import article_groups as groups, named_edges
 from comention import (
-    ArticleRecord,
     DataError,
     build_graph,
+    clique_graph,
     ingest_stats,
     load_aliases,
     load_articles,
     normalize_name,
     parse_articles,
 )
-from comention.graph import csr_graph, read_edge_pairs
+from comention.graph import csr_graph, density, read_edge_pairs
 from comention.ingest import read_name_pairs
 from comention.report import PipelineConfig, load_input_graph
 from comention.typology import load_affiliations
 
 
-def record(*persons, id="a1", **kw):
-    return ArticleRecord(id=id, persons=tuple(persons), **kw)
+def line(*persons, id="a1", **fields):
+    return json.dumps({"id": id, "persons": list(persons), **fields})
 
 
-def line(*persons, id="a1"):
-    return json.dumps({"id": id, "persons": list(persons)})
+def pairs_of(groups):
+    """Every co-mention pair, one clique per group, in group order."""
+    return [pair for g in groups for pair in itertools.combinations(g, 2)]
 
 
-def pairs_of(records):
-    """Every co-mention pair, one clique per record, in record order."""
-    return [pair for r in records for pair in itertools.combinations(r.persons, 2)]
+def parsed_graph(lines):
+    """The parsed corpus of ``lines`` and the graph the pipeline builds from it."""
+    articles = parse_articles(lines)
+    return articles, clique_graph(articles.names, articles.keys, articles.sizes)
+
+
+def columns(articles):
+    """Every field of a parsed corpus, comparable with ``==``."""
+    return (articles.names, articles.keys.dtype, articles.keys.tolist(),
+            articles.sizes.dtype, articles.sizes.tolist(), articles.dates)
 
 
 class TestNormalizeName:
@@ -51,17 +60,19 @@ class TestNormalizeName:
 class TestParseArticles:
     def test_two_person_record(self):
         lines = ['{"id":"a1","persons":["Meshalkin V.","Patrushev Jr."]}']
-        recs = parse_articles(lines)
-        assert len(recs) == 1
-        assert recs[0].persons == ("Meshalkin V.", "Patrushev Jr.")
+        articles = parse_articles(lines)
+        assert len(articles) == 1
+        assert articles.names == ("Meshalkin V.", "Patrushev Jr.")
+        assert articles.keys.tolist() == [0, 1] and articles.sizes.tolist() == [2]
 
     def test_person_dedup(self):
-        recs = parse_articles(['{"id":"a1","persons":["A","A"]}'])
-        assert recs[0].persons == ("A",)
+        articles = parse_articles(['{"id":"a1","persons":["A","A"]}'])
+        assert groups(articles) == [("A",)]
 
     def test_whitespace_trim_and_empty_drop(self):
-        recs = parse_articles(['{"id":"a1","persons":["  A ","","B"]}'])
-        assert recs[0].persons == ("A", "B")
+        articles = parse_articles(['{"id":"a1","persons":["  A ","","B"]}'])
+        assert groups(articles) == [("A", "B")]
+        assert articles.names == ("A", "B")
 
     def test_round_trip_thousand_records(self):
         lines = [
@@ -93,14 +104,18 @@ class TestParseArticles:
 
     def test_good_date_kept(self):
         line = '{"id":"a1","date":"2019-05-04","persons":["A","B"]}'
-        assert parse_articles([line])[0].date == "2019-05-04"
+        assert parse_articles([line]).dates == {"2019-05-04"}
 
     def test_zero_person_record_skipped_with_warning(self, caplog):
-        lines = ['{"id":"a1","persons":[]}', '{"id":"a2","persons":["A","B"]}']
+        lines = ['{"id":"a1","date":"1990-01-01","persons":[]}',
+                 '{"id":"a2","persons":["A","B"]}', '{"id":"a3","persons":[" ", ""]}']
         with caplog.at_level("WARNING", logger="comention.ingest"):
-            recs = parse_articles(lines)
-        assert [r.id for r in recs] == ["a2"]
-        assert any("a1" in r.getMessage() for r in caplog.records)
+            articles = parse_articles(lines)
+        assert groups(articles) == [("A", "B")]
+        assert articles.dates == frozenset()
+        assert [r.getMessage() for r in caplog.records] == [
+            "line 1: record 'a1' mentions no usable person, skipping",
+            "line 3: record 'a3' mentions no usable person, skipping"]
 
     def test_blank_lines_ignored(self):
         lines = ["", '{"id":"a1","persons":["A","B"]}', "   "]
@@ -122,13 +137,13 @@ class TestParseArticles:
         order = rng.permutation(20_000).tolist()
         mentions = [canonical[k] if k < 10_000 else variants[k - 10_000] for k in order]
         want = list(dict.fromkeys(canonical[k % 10_000] for k in order))
-        (rec,) = parse_articles([json.dumps({"id": "big", "persons": mentions})])
-        assert list(rec.persons) == want
+        (rec,) = groups(parse_articles([json.dumps({"id": "big", "persons": mentions})]))
+        assert list(rec) == want
 
         aliases = {name: canonical[i - 1] for i, name in enumerate(canonical) if i % 3 == 1}
-        (folded,) = parse_articles([json.dumps({"id": "big", "persons": mentions})], aliases)
-        assert list(folded.persons) == list(dict.fromkeys(aliases.get(n, n) for n in want))
-        assert len(folded.persons) == 10_000 - len(aliases)
+        folded = parse_articles([json.dumps({"id": "big", "persons": mentions})], aliases)
+        assert list(folded.names) == list(dict.fromkeys(aliases.get(n, n) for n in want))
+        assert folded.keys.tolist() == list(range(10_000 - len(aliases)))
 
     def test_load_articles_error_includes_path(self, tmp_path):
         bad = tmp_path / "articles.jsonl"
@@ -148,7 +163,7 @@ class TestParseArticles:
                                            "2020-02-30"])]
         with pytest.raises(DataError, match="line 3: 'date' is not a real calendar date"):
             parse_articles(lines)
-        assert [r.date for r in parse_articles(lines[:2])] == ["2020-01-01"] * 2
+        assert parse_articles(lines[:2]).dates == {"2020-01-01"}
 
     @pytest.mark.parametrize("payload", [
         '\ufeff{"id":"a1","persons":["A","B"]}\n',
@@ -170,7 +185,7 @@ class TestParseArticles:
         '{"id":"a1","persons":["A","B"]}',
     ], ids=["leading-space", "trailing-space", "no-newline"])
     def test_surrounding_whitespace_parses_as_json_loads_does(self, payload):
-        assert parse_articles([payload]) == [record("A", "B")]
+        assert groups(parse_articles([payload])) == [("A", "B")]
 
 
 class TestForbiddenCharacters:
@@ -193,11 +208,11 @@ class TestForbiddenCharacters:
 
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1f"])
     def test_whitespace_controls_are_normalized_away(self, char):
-        assert parse_articles([line(f"A{char}x", "B")])[0].persons == ("A x", "B")
+        assert groups(parse_articles([line(f"A{char}x", "B")])) == [("A x", "B")]
 
     @pytest.mark.parametrize("char", ["\x7f", "\x80", "\ufffd"])
     def test_characters_xml_allows_are_kept(self, tmp_path, char):
-        assert parse_articles([line(f"A{char}x", "B")])[0].persons == (f"A{char}x", "B")
+        assert groups(parse_articles([line(f"A{char}x", "B")])) == [(f"A{char}x", "B")]
         f = tmp_path / "edges.csv"
         f.write_text(f"source,target\nA{char}x,B\n", encoding="utf-8")
         assert read_edge_pairs(f) == [(f"A{char}x", "B")]
@@ -207,17 +222,19 @@ class TestAliases:
     """Aliases fold inside the parser, onto normalized names."""
 
     def test_example_substitution(self):
-        recs = parse_articles([line("Slyunyaev I.", "Someone Else")],
-                              {"Slyunyaev I.": "Albin I."})
-        assert recs[0].persons == ("Albin I.", "Someone Else")
+        articles = parse_articles([line("Slyunyaev I.", "Someone Else")],
+                                  {"Slyunyaev I.": "Albin I."})
+        assert groups(articles) == [("Albin I.", "Someone Else")]
 
     def test_empty_map_identity(self):
         lines = [line("A", "B"), line(" B ", "C", id="a2")]
-        assert parse_articles(lines, {}) == parse_articles(lines)
+        assert columns(parse_articles(lines, {})) == columns(parse_articles(lines))
 
     def test_substitution_can_merge_persons(self):
-        recs = parse_articles([line("A", "B"), line("B", " A ", "C", id="a2")], {"B": "A"})
-        assert [r.persons for r in recs] == [("A",), ("A", "C")]
+        articles = parse_articles([line("A", "B"), line("B", " A ", "C", id="a2")], {"B": "A"})
+        assert groups(articles) == [("A",), ("A", "C")]
+        assert articles.names == ("A", "C")
+        assert articles.keys.tolist() == [0, 0, 1]
 
     def test_idempotent_on_random_maps(self):
         rng = np.random.default_rng(43)
@@ -233,10 +250,9 @@ class TestAliases:
                 for j in range(10)
             ]
             once = parse_articles(lines, aliases)
-            again = [line(*r.persons, id=r.id) for r in once]
-            assert parse_articles(again, aliases) == once
-            for rec in once:
-                assert not set(rec.persons) & set(aliases)
+            again = [line(*g, id=f"r{j}") for j, g in enumerate(groups(once))]
+            assert columns(parse_articles(again, aliases)) == columns(once)
+            assert not set(once.names) & set(aliases)
 
     def test_load_aliases(self, tmp_path):
         f = tmp_path / "aliases.csv"
@@ -295,64 +311,74 @@ class TestReadNamePairs:
         with pytest.raises(DataError, match=r"pairs\.csv: line 3: name .* which XML 1\.0 forbids"):
             loader(f)
 
+    @pytest.mark.parametrize("loader,header", LOADERS)
+    def test_byte_order_mark_named(self, tmp_path, loader, header):
+        f = tmp_path / "pairs.csv"
+        f.write_text(f"{header}\nA,press\n", encoding="utf-8-sig")
+        with pytest.raises(DataError, match=r"pairs\.csv: line 1: unexpected UTF-8 "
+                                            r"byte-order mark \(BOM\)"):
+            loader(f)
+
 
 class TestCliqueExpand:
-    """``build_graph`` expands each group into the clique over its names."""
+    """The keyed builder expands each group into the clique over its keys."""
 
     def test_three_person_record(self):
-        g = build_graph([record("A", "B", "C").persons])
-        assert list(g.edges()) == [("A", "B"), ("A", "C"), ("B", "C")]
+        _, g = parsed_graph([line("A", "B", "C")])
+        assert named_edges(g) == [("A", "B"), ("A", "C"), ("B", "C")]
 
     def test_singleton_record_yields_nothing(self):
-        g = build_graph([("A",), ("B", "C"), ()])
+        articles, g = parsed_graph([line("A"), line("B", "C", id="a2"), line(" ", id="a3")])
+        assert articles.names == ("A", "B", "C") and len(articles) == 2
         assert g.names == ("B", "C") and g.edge_count == 1
+        assert build_graph([("A",), ("B", "C"), ()]).names == ("B", "C")
 
     def test_pair_count_formula(self):
         for k in range(2, 51):
-            g = build_graph([tuple(f"p{i}" for i in range(k))])
+            _, g = parsed_graph([line(*(f"p{i}" for i in range(k)))])
             assert g.edge_count == k * (k - 1) // 2
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(47)
         names = [f"n{i}" for i in range(40)]
-        recs = [
-            record(
-                *rng.choice(names, size=rng.integers(1, 8), replace=False),
-                id=f"r{j}",
-            )
-            for j in range(50)
-        ]
+        lines = [line(*rng.choice(names, size=rng.integers(1, 8), replace=False).tolist(),
+                      id=f"r{j}")
+                 for j in range(50)]
+        articles, got = parsed_graph(lines)
         want = []
-        for rec in recs:
-            ps = rec.persons
+        for ps in groups(articles):
             for i in range(len(ps)):
                 for j in range(i + 1, len(ps)):
                     want.append((ps[i], ps[j]))
-        got, oracle = build_graph(r.persons for r in recs), build_graph(want)
+        oracle = build_graph(want)
         assert got.names == oracle.names
         assert np.array_equal(got.indptr, oracle.indptr)
         assert np.array_equal(got.adjacency, oracle.adjacency)
 
     def test_graph_nodes_are_co_mentioned_persons(self):
-        recs = [record("A", "B"), record("Alone", id="a2")]
-        g = build_graph(r.persons for r in recs)
+        _, g = parsed_graph([line("A", "B"), line("Alone", id="a2")])
         assert set(g.names) == {"A", "B"}
+
+    def test_node_order_is_first_appearance_among_pairs(self):
+        """Keys count every kept mention; node ids only those in a pair."""
+        articles, g = parsed_graph([line("Solo"), line("B", "Solo", id="a2"),
+                                    line("C", "B", id="a3")])
+        assert articles.names == ("Solo", "B", "C")
+        assert g.names == ("B", "Solo", "C")
 
 
 class TestIngestStats:
     def test_single_pair(self):
-        recs = [record("A", "B")]
-        g = build_graph(r.persons for r in recs)
-        stats = ingest_stats(recs, g)
+        articles, g = parsed_graph([line("A", "B")])
+        stats = ingest_stats(articles, g)
         assert stats["persons_distinct"] == 2
         assert stats["edges"] == 1
         assert stats["articles"] == 1
 
     def test_collapsed_duplicates_match_set_oracle(self):
-        recs = [record("A", "B", "C"), record("A", "B", id="a2")]
-        g = build_graph(r.persons for r in recs)
-        stats = ingest_stats(recs, g)
-        emitted = pairs_of(recs)
+        articles, g = parsed_graph([line("A", "B", "C"), line("A", "B", id="a2")])
+        stats = ingest_stats(articles, g)
+        emitted = pairs_of(groups(articles))
         distinct = {frozenset(p) for p in emitted}
         assert stats["pair_slots"] == len(emitted) == 4
         assert stats["unique_pairs"] == len(distinct) == 3
@@ -361,36 +387,36 @@ class TestIngestStats:
     def test_duplicate_heavy_corpus(self):
         rng = np.random.default_rng(53)
         names = [f"n{i}" for i in range(12)]
-        recs = [
-            record(
-                *rng.choice(names, size=rng.integers(2, 6), replace=False),
-                id=f"r{j}",
-            )
-            for j in range(60)
-        ]
-        g = build_graph(r.persons for r in recs)
-        stats = ingest_stats(recs, g)
-        emitted = pairs_of(recs)
+        lines = [line(*rng.choice(names, size=rng.integers(2, 6), replace=False).tolist(),
+                      id=f"r{j}")
+                 for j in range(60)]
+        articles, g = parsed_graph(lines)
+        stats = ingest_stats(articles, g)
+        emitted = pairs_of(groups(articles))
         assert stats["pair_slots"] == len(emitted)
         assert stats["unique_pairs"] == len({frozenset(p) for p in emitted})
         assert stats["edges"] == g.edge_count == stats["unique_pairs"]
 
     def test_date_range(self):
-        recs = [
-            record("A", "B", date="2015-03-01"),
-            record("C", "D", id="a2", date="2013-01-09"),
-            record("E", "F", id="a3"),
-        ]
-        g = build_graph(r.persons for r in recs)
-        stats = ingest_stats(recs, g)
+        articles, g = parsed_graph([
+            line("A", "B", date="2015-03-01"),
+            line("C", "D", id="a2", date="2013-01-09"),
+            line("E", "F", id="a3"),
+            line(" ", id="a4", date="1990-01-01"),  # skipped: no usable person
+        ])
+        stats = ingest_stats(articles, g)
         assert stats["date_min"] == "2013-01-09"
         assert stats["date_max"] == "2015-03-01"
 
+    def test_single_person_records_count_as_persons(self):
+        articles, g = parsed_graph([line("A", "B"), line("Solo", id="a2")])
+        stats = ingest_stats(articles, g)
+        assert (stats["articles"], stats["persons_distinct"], stats["nodes"]) == (2, 3, 2)
+        assert stats["pair_slots"] == 1
+
     def test_density_echoes_graph(self):
-        stats_density = ingest_stats(
-            [record("A", "B")], build_graph([("A", "B")])
-        )["density"]
-        assert stats_density == 1.0
+        articles, _ = parsed_graph([line("A", "B")])
+        assert ingest_stats(articles, build_graph([("A", "B")]))["density"] == 1.0
 
 
 class TestLoadInputGraph:
@@ -435,14 +461,37 @@ class TestLoadInputGraph:
             gc.unfreeze()
 
 
-def reference_apply_aliases(records, aliases):
-    """Alias folding as a pass over parsed records, as it was before the
-    parser's name memo folded them."""
-    out = []
-    for r in records:
-        folded = tuple(dict.fromkeys(aliases.get(name, name) for name in r.persons))
-        out.append(ArticleRecord(r.id, folded, r.title, r.date))
-    return out
+def reference_parse(lines, aliases):
+    """Each kept record's (persons, date), parsed one record at a time as
+    before the columns: names normalized, folded, deduplicated first mention
+    first, blanks dropped, and a record left without persons skipped."""
+    records = []
+    for text in lines:
+        if text.strip():
+            obj = json.loads(text)
+            persons = dict.fromkeys(aliases.get(name, name)
+                                    for name in map(normalize_name, obj["persons"]))
+            persons.pop("", None)
+            if persons:
+                records.append((tuple(persons), obj.get("date")))
+    return records
+
+
+def reference_stats(records, g):
+    """``ingest_stats`` as a loop over (persons, date) records."""
+    persons: set[str] = set()
+    pair_slots = 0
+    dates: list[str] = []
+    for names, when in records:
+        persons.update(names)
+        pair_slots += len(names) * (len(names) - 1) // 2
+        if when:
+            dates.append(when)
+    return {"articles": len(records), "persons_distinct": len(persons),
+            "pair_slots": pair_slots, "unique_pairs": g.edge_count, "nodes": g.node_count,
+            "edges": g.edge_count, "density": density(g.node_count, g.edge_count),
+            "date_min": min(dates) if dates else None,
+            "date_max": max(dates) if dates else None}
 
 
 def reference_build_graph(pairs):
@@ -470,7 +519,7 @@ def built(build, source):
     return g.names, g.indptr.dtype, g.indptr.tolist(), g.adjacency.dtype, g.adjacency.tolist()
 
 
-BASE_NAMES = ["Ann", "Bob", "Cy", "Dee", "Eve", "Séguin"]
+BASE_NAMES = ["Ann", "Bob", "Cy", "Dee", "Eve", "Séguin", "Йона", "株式"]
 # raw spellings of each name: as is, padded, tab-separated, decomposed
 SPELLINGS = [s for n in BASE_NAMES
              for s in (n, f" {n} ", f"{n}\t", unicodedata.normalize("NFD", n))] + ["", "  "]
@@ -478,12 +527,16 @@ SPELLINGS = [s for n in BASE_NAMES
 
 @st.composite
 def corpora(draw):
-    """(JSONL lines, alias map): 1-12 articles of 1-5 raw mentions, repeats
-    and single-person articles included, and an idempotent alias map."""
+    """(JSONL lines, alias map): 1-12 articles of 1-5 raw mentions, with
+    repeats, single-person articles and articles of blank names only (which
+    are skipped, dates and all), and an idempotent alias map, which can merge
+    two mentions of one article."""
     lines = []
     for i in range(draw(st.integers(1, 12))):
-        mentions = draw(st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=5))
-        when = draw(st.sampled_from([None, "2019-05-04", "2020-02-29"]))
+        mentions = draw(st.one_of(
+            st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=5),
+            st.lists(st.sampled_from(["", "  ", "\t"]), min_size=1, max_size=2)))
+        when = draw(st.sampled_from([None, "1990-01-01", "2019-05-04", "2020-02-29"]))
         lines.append(json.dumps({"id": f"a{i}", "persons": mentions, "date": when}))
     canonical = draw(st.lists(st.sampled_from(BASE_NAMES + ["Zed"]), min_size=1, unique=True))
     rest = [n for n in BASE_NAMES if n not in canonical]
@@ -492,23 +545,31 @@ def corpora(draw):
     return lines, aliases
 
 
+def keyed_graph(articles):
+    return clique_graph(articles.names, articles.keys, articles.sizes)
+
+
 class TestFoldAndCliqueEquivalence:
-    """The parser's fold and the clique builder against the record-by-record
-    fold and the pairwise interning loop."""
+    """The columnar parse, the keyed builder and ``ingest_stats`` against a
+    record-by-record parse, the pairwise interning loop and a loop over the
+    records; and ``build_graph`` over string groups against the same loop."""
 
     @settings(max_examples=300, deadline=None)
     @given(corpus=corpora())
     def test_articles(self, corpus):
         lines, aliases = corpus
-        records = parse_articles(lines, aliases)
-        reference = reference_apply_aliases(parse_articles(lines), aliases)
-        assert records == reference
-        got = built(build_graph, (r.persons for r in records))
-        want = built(reference_build_graph, pairs_of(reference))
-        assert got == want
+        articles = parse_articles(lines, aliases)
+        records = reference_parse(lines, aliases)
+        persons = [names for names, _ in records]
+        assert articles.names == tuple(dict.fromkeys(itertools.chain.from_iterable(persons)))
+        assert groups(articles) == persons
+        assert articles.dates == {when for _, when in records if when is not None}
+        assert len(articles) == len(records)
+        got = built(keyed_graph, articles)
+        assert got == built(reference_build_graph, pairs_of(persons))
         if not isinstance(got, str):
-            assert (ingest_stats(records, build_graph(r.persons for r in records))
-                    == ingest_stats(reference, reference_build_graph(pairs_of(reference))))
+            assert (ingest_stats(articles, keyed_graph(articles))
+                    == reference_stats(records, reference_build_graph(pairs_of(persons))))
 
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(st.tuples(st.sampled_from(BASE_NAMES + [""]),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import article_groups
 from comention import DataError, build_graph, connected_components
 from comention.synth import (
     benchmark_graph,
@@ -29,7 +30,9 @@ class TestGenerateCorpus:
         records = generate_corpus(n_articles=120, n_persons=240, seed=4)
         path = tmp_path / "articles.jsonl"
         write_articles_jsonl(records, path)
-        assert load_articles(path) == records
+        articles = load_articles(path)
+        assert article_groups(articles) == [r.persons for r in records]
+        assert articles.dates == {r.date for r in records if r.date is not None}
 
 
 class TestBenchmarkGraph:
