@@ -17,6 +17,8 @@ from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
+EDGE_BLOCK = 1 << 15  # rows per write of write_edge_csv
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -113,61 +115,64 @@ def clique_graph(names: Sequence[str], keys: np.ndarray, sizes: np.ndarray) -> G
     Raises :class:`DataError` when no usable edge survives cleanup.
     """
     starts = np.cumsum(sizes) - sizes
-    # a linked group holds two distinct keys, so it adds a pair
-    linked = sizes > 1
+    # a linked group holds two distinct keys, so it adds a pair; every
+    # non-empty group is a segment, so none reads into the next one's keys
+    linked = sizes > 0
     linked[linked] = (np.minimum.reduceat(keys, starts[linked])
                       != np.maximum.reduceat(keys, starts[linked]))
     if not linked.any():
         raise DataError("no usable edges after dropping self-pairs and duplicates")
     # first[key]: the key's first slot in a linked group, which is where it
-    # first appears among the pairs; its node opens there, and ids count the
-    # nodes in that order
-    slots = np.flatnonzero(np.repeat(linked, sizes))
+    # first appears among the pairs; node ids count the keys in that order
+    in_linked = np.repeat(linked, sizes)
     first = np.full(len(names), keys.size)
-    np.minimum.at(first, keys[slots], slots)
-    opens = np.zeros(keys.size, dtype=bool)
-    opens[first[first < keys.size]] = True
-    ids = (np.cumsum(opens) - 1)[first[keys[slots]]]
-    node_names = tuple(map(names.__getitem__, keys[opens].tolist()))
-    return csr_graph(node_names, _clique_pairs(ids, sizes[linked]))
+    np.minimum.at(first, keys[in_linked], np.flatnonzero(in_linked))
+    opened = np.argsort(first)[:np.count_nonzero(first < keys.size)]
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[opened] = np.arange(opened.size)
+    return csr_graph(tuple(map(names.__getitem__, opened.tolist())), rank[keys[in_linked]],
+                     sizes[linked])
 
 
 def _clique_pairs(ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Every pair of two slots within one group, as an (m, 2) array of node
-    ids without self-pairs; ``ids`` holds the groups' ids end to end."""
+    """Both directions of every pair of two slots within one group, packed
+    as ``(tail << 32) | head`` (node counts stay far below 2**31), without
+    self-pairs; ``ids`` holds the groups' node ids end to end."""
     starts = np.cumsum(sizes) - sizes
     per_size = np.bincount(sizes)
-    ends = np.empty((sum(c * k * (k - 1) // 2 for k, c in enumerate(per_size.tolist())), 2),
-                    dtype=np.int64)
+    keys = np.empty(sum(c * k * (k - 1) for k, c in enumerate(per_size.tolist())), np.int64)
     at = 0
     for k in np.flatnonzero(per_size).tolist():  # all groups of k slots at once
         members = ids[starts[sizes == k][:, None] + np.arange(k)]
-        tails, heads = np.triu_indices(k, 1)
-        block = ends[at:at + members.shape[0] * tails.size]
-        block[:, 0] = members[:, tails].ravel()
-        block[:, 1] = members[:, heads].ravel()
-        at += len(block)
-    self_pairs = ends[:, 0] == ends[:, 1]  # from a group that repeats a name
-    return ends[~self_pairs] if self_pairs.any() else ends
+        tails, heads = np.nonzero(~np.eye(k, dtype=bool))
+        block = keys[at:at + members.size * (k - 1)].reshape(len(members), -1)
+        # "clip" (every index is in range) lets take write into block unbuffered
+        np.take(members << 32, tails, axis=1, out=block, mode="clip")
+        block |= members[:, heads]
+        distinct = (members[:, :, None] != members[:, None, :])[:, tails, heads].ravel()
+        if not distinct.all():  # a group that repeats a name
+            block = block.ravel()[distinct]
+            keys[at:at + block.size] = block
+        at += block.size
+    return keys[:at]
 
 
-def csr_graph(names: tuple[str, ...], ends: np.ndarray) -> Graph:
-    """The graph over ``names`` whose edges are the rows of ``ends``, an
-    (m, 2) int64 array of node ids without self-pairs; a repeated pair
-    collapses to one edge."""
-    # Both directions of every pair packed as (tail << 32) | head (node counts
-    # stay far below 2**32); sorted, a repeated pair is a run of equal keys.
-    keys = np.concatenate([(ends[:, 0] << 32) | ends[:, 1], (ends[:, 1] << 32) | ends[:, 0]])
+def csr_graph(names: tuple[str, ...], ids: np.ndarray, sizes: np.ndarray) -> Graph:
+    """The graph over ``names`` linking each two members of a group: ``ids``
+    holds the groups' node ids end to end and ``sizes`` each group's length.
+    Self-pairs are dropped and a repeated pair collapses to one edge."""
+    # sorted, a repeated pair is a run of equal keys and each node's row is
+    # the run of keys between node << 32 and (node + 1) << 32
+    keys = _clique_pairs(ids, sizes)
+    del ids  # freed before the sort where the caller keeps no other reference
     keys.sort()
     fresh = np.empty(keys.size, dtype=bool)
     fresh[0] = True
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
     keys = keys[fresh]
-    n = len(names)
-    adjacency = (keys & 0xFFFFFFFF).astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys >> 32, minlength=n), out=indptr[1:])
-    return Graph(names=names, indptr=indptr, adjacency=adjacency)
+    indptr = np.searchsorted(keys, np.arange(len(names) + 1, dtype=np.int64) << 32)
+    keys &= 0xFFFFFFFF
+    return Graph(names=names, indptr=indptr, adjacency=keys.astype(np.int32))
 
 
 def density(node_count: int, edge_count: int) -> float:
@@ -251,16 +256,17 @@ def write_edge_csv(g: Graph, path) -> None:
     """Write the edge list as a two-column CSV with a source,target header.
 
     Each name is quoted once; a row is then its two cells joined, in
-    ascending (u, v) id order.
+    ascending (u, v) id order, written ``EDGE_BLOCK`` rows at a time.
     """
     cells = np.array(_csv_cells(g.names), dtype=object)
+    sources, targets = cells + ",", cells + "\n"
     us, vs = g.edge_arrays()
-    rows = np.empty((us.size, 2), dtype=object)
-    rows[:, 0] = (cells + ",")[us]
-    rows[:, 1] = (cells + "\n")[vs]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("source,target\n")
-        fh.write("".join(rows.ravel().tolist()))
+        for at in range(0, us.size, EDGE_BLOCK):
+            block = slice(at, at + EDGE_BLOCK)
+            rows = np.column_stack((sources[us[block]], targets[vs[block]]))
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def read_edge_pairs(path) -> list[tuple[str, str]]:

@@ -289,7 +289,7 @@ def read_graphml(path) -> Graph:
         raise DataError(f"{path}: no edges")
     if (ends[:, 0] == ends[:, 1]).any():
         raise DataError(f"{path}: edge joins a node to itself")
-    return csr_graph(tuple(names), ends)
+    return csr_graph(tuple(names), ends.ravel(), np.full(len(ends), 2))
 
 
 def _dot_quote(name: str) -> str:

@@ -28,7 +28,7 @@ from comention import (
     write_edge_csv,
 )
 from comention._sweep import sweep
-from comention.graph import read_edge_pairs
+from comention.graph import EDGE_BLOCK, read_edge_pairs
 
 
 def star(k=5):
@@ -326,6 +326,18 @@ class TestEdgeCsv:
     def test_quoted_names_match_csv_module(self, tmp_path):
         names = self.NAMES
         g = build_graph([(a, b) for i, a in enumerate(names) for b in names[i + 1:]][::-1])
+        target = tmp_path / "edges.csv"
+        write_edge_csv(g, target)
+        assert target.read_bytes() == self.csv_module_bytes(g)
+        back = build_graph(read_edge_pairs(target))
+        assert back.names == g.names
+        assert np.array_equal(back.indptr, g.indptr)
+        assert np.array_equal(back.adjacency, g.adjacency)
+
+    @pytest.mark.parametrize("edges", [EDGE_BLOCK - 1, EDGE_BLOCK, EDGE_BLOCK + 1,
+                                       2 * EDGE_BLOCK + 1])
+    def test_block_boundaries(self, tmp_path, edges):
+        g = path([f"Smith, {i}" if i % 3 else f"n{i}" for i in range(edges + 1)])
         target = tmp_path / "edges.csv"
         write_edge_csv(g, target)
         assert target.read_bytes() == self.csv_module_bytes(g)

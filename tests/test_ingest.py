@@ -1,11 +1,12 @@
 import gc
 import itertools
 import json
+import tracemalloc
 import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import article_groups as groups, named_edges
 from comention import (
@@ -366,6 +367,24 @@ class TestCliqueExpand:
         assert articles.names == ("Solo", "B", "C")
         assert g.names == ("B", "Solo", "C")
 
+    def test_transient_memory_under_three_packed_pair_arrays(self):
+        """Both directions of a pair slot pack into 16 bytes; everything the
+        build allocates at once stays under three times that per slot."""
+        rng = np.random.default_rng(1919)
+        sizes = rng.integers(2, 7, size=20_000)
+        keys = rng.integers(0, 2_000, size=int(sizes.sum()))
+        names = tuple(f"p{i}" for i in range(2_000))
+        slots = int((sizes * (sizes - 1) // 2).sum())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            clique_graph(names, keys, sizes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * slots, f"{peak / (16 * slots):.2f} packed pair arrays"
+
 
 class TestIngestStats:
     def test_single_pair(self):
@@ -507,7 +526,7 @@ def reference_build_graph(pairs):
         ids += (intern(a, len(index)), intern(b, len(index)))
     if not ids:
         raise DataError("no usable edges after dropping self-pairs and duplicates")
-    return csr_graph(tuple(index), np.array(ids, dtype=np.int64).reshape(-1, 2))
+    return csr_graph(tuple(index), np.array(ids, dtype=np.int64), np.full(len(ids) // 2, 2))
 
 
 def built(build, source):
@@ -576,3 +595,13 @@ class TestFoldAndCliqueEquivalence:
                                     st.sampled_from(BASE_NAMES)), max_size=30))
     def test_edge_lists(self, pairs):
         assert built(build_graph, iter(pairs)) == built(reference_build_graph, pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name_groups=st.lists(st.lists(st.sampled_from(BASE_NAMES[:5]), min_size=1,
+                                         max_size=6), max_size=12))
+    @example(name_groups=[["Ann", "Ann"], ["Bob"], ["Cy", "Cy", "Cy"]])
+    @example(name_groups=[["Ann", "Ann"], ["Bob"], ["Cy", "Dee"]])
+    def test_groups_with_repeated_names(self, name_groups):
+        """A group that repeats a name puts self-pairs inside its clique."""
+        assert (built(build_graph, iter(name_groups))
+                == built(reference_build_graph, pairs_of(name_groups)))
