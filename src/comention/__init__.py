@@ -7,9 +7,8 @@ types, and emits machine-readable reports for all of the above.
 """
 
 from .errors import ConvergenceError, DataError
-from .graph import (ComponentLabeling, Graph, build_graph, clique_graph,
-                    connected_components, degree_histogram, density, diameter,
-                    write_edge_csv)
+from .graph import (Graph, Partition, build_graph, clique_graph,
+                    connected_components, density, diameter, write_edge_csv)
 from .ingest import (AliasMap, Articles, ingest_stats, load_aliases,
                      load_articles, normalize_name, parse_articles)
 from .centrality import (CentralityBundle, TopTable, betweenness_centrality,
@@ -17,7 +16,7 @@ from .centrality import (CentralityBundle, TopTable, betweenness_centrality,
                          compute_bundle, degree_centrality,
                          eigenvector_centrality, pearson_correlation, top_k,
                          top_table)
-from .community import (CommunitySummary, InducedGraph, OTHER, Partition,
+from .community import (CommunitySummary, InducedGraph, OTHER,
                         community_summary, filter_communities, induced_graph,
                         label_communities, louvain, modularity, top_members)
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog, fit_mle
@@ -26,7 +25,7 @@ from .typology import (CATEGORIES, CommunityProfile, KMeansResult,
                        kmeans, load_affiliations, type_table)
 from .report import (AuditCheck, PipelineConfig, PipelineRun, ReportBundle,
                      audit, emit_plot_data, export_dot, export_graphml,
-                     read_graphml, run_pipeline)
+                     export_induced_graphml, read_graphml, run_pipeline)
 
 __version__ = "0.1.0"
 

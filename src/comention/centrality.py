@@ -9,7 +9,7 @@ import numpy as np
 
 from ._sweep import sweep
 from .errors import ConvergenceError, DataError
-from .graph import ComponentLabeling, Graph, connected_components
+from .graph import Graph, Partition, connected_components
 
 logger = logging.getLogger(__name__)
 
@@ -34,16 +34,11 @@ class CentralityBundle:
     eccentricity: np.ndarray
     _written: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
-    def by_name(self, measure: str) -> np.ndarray:
-        if measure not in MEASURES and measure != "clustering":
-            raise DataError(f"unknown measure {measure!r}")
-        return getattr(self, measure)
-
     def written(self, measure: str) -> np.ndarray:
         """A measure's scores :func:`as_written`, formatted once per bundle."""
         if measure not in self._written:
             self._written[measure] = np.array(
-                [as_written(score) for score in self.by_name(measure).tolist()])
+                [as_written(score) for score in getattr(self, measure).tolist()])
         return self._written[measure]
 
 
@@ -85,7 +80,7 @@ def betweenness_centrality(g: Graph, *, threads: int | None = None) -> np.ndarra
 
 def eigenvector_centrality(g: Graph, *, tol: float = 1e-10, max_iter: int = 10000,
                            mixing: float = 1.0,
-                           components: ComponentLabeling | None = None) -> np.ndarray:
+                           components: Partition | None = None) -> np.ndarray:
     """Dominant-eigenvector scores on the largest component, zeros elsewhere.
 
     Power iteration runs on A + I, which has the same dominant eigenvector as
@@ -167,7 +162,7 @@ def clustering_coefficient(g: Graph) -> np.ndarray:
 
 def compute_bundle(g: Graph, *, eigen_tol: float = 1e-10, eigen_max_iter: int = 10000,
                    eigen_mixing: float = 1.0, threads: int | None = None,
-                   components: ComponentLabeling | None = None) -> CentralityBundle:
+                   components: Partition | None = None) -> CentralityBundle:
     """Compute every score with one shared BFS sweep."""
     labeling = components if components is not None else connected_components(g)
     closeness, betweenness, result = _sweep_scores(g, betweenness=True, threads=threads)

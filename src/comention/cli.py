@@ -13,7 +13,6 @@ import sys
 
 from . import report
 from .errors import ConvergenceError, DataError
-from .graph import density, diameter as graph_diameter
 from .ingest import open_text
 from .powerlaw import fit_mle
 
@@ -59,15 +58,9 @@ def cmd_write(args) -> int:
 
 def cmd_stats(args) -> int:
     run = _run(args)
-    g, labeling = run.graph, run.components
-    stats = {
-        "nodes": g.node_count,
-        "edges": g.edge_count,
-        "density": density(g.node_count, g.edge_count),
-        "component_count": labeling.count,
-        "largest_component": labeling.sizes[0],
-        "diameter": graph_diameter(g, components=labeling),
-    }
+    stats = {name: report.SUMMARY_FIELDS[name](run)
+             for name in ("nodes", "edges", "density", "component_count", "diameter")}
+    stats["largest_component"] = run.components.sizes[0]
     if run.config.out_dir:
         report.write_json(run.out / "stats.json", stats)
     else:
@@ -77,8 +70,8 @@ def cmd_stats(args) -> int:
 
 def cmd_communities(args) -> int:
     run = _run(args)
-    payload = {"community_count": run.partition.count, "retained_count": len(run.retained),
-               "modularity": run.modularity}
+    payload = {name: report.SUMMARY_FIELDS[name](run)
+               for name in ("community_count", "retained_count", "modularity")}
     report.write_partition_files(run)
     report.write_community_files(run)
     _print_json(payload)

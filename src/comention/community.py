@@ -11,45 +11,11 @@ import numpy as np
 
 from .centrality import CentralityBundle, as_written, rank
 from .errors import ConvergenceError, DataError
-from .graph import Graph, relabel_by_size
+from .graph import Graph, Partition, relabel_by_size
 
 logger = logging.getLogger(__name__)
 
 OTHER = -1  # pseudo-community absorbing non-retained nodes in the induced view
-
-
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Dense node-to-community assignment.
-
-    Community ids run 0..count-1 with no gaps; ``sizes[c]`` is the member
-    count of community ``c`` and sums to the node count.
-    """
-
-    labels: np.ndarray
-    sizes: tuple[int, ...]
-
-    @classmethod
-    def from_labels(cls, labels) -> "Partition":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.size == 0:
-            raise DataError("labels must be a non-empty 1-d sequence")
-        count = int(labels.max()) + 1
-        if labels.min() < 0:
-            raise DataError("community ids must be non-negative")
-        if count > labels.size:  # checked before bincount allocates count slots
-            raise DataError("community ids must be dense starting at 0")
-        sizes = np.bincount(labels, minlength=count)
-        if (sizes == 0).any():
-            raise DataError("community ids must be dense starting at 0")
-        return cls(labels=labels, sizes=tuple(int(s) for s in sizes))
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-    def members(self, community: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == community)
 
 
 def intra_edges(g: Graph, p: Partition) -> np.ndarray:

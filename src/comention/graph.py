@@ -55,28 +55,11 @@ class Graph:
         return order
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every undirected edge once, as parallel (u, v) arrays with u < v."""
-        src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
+        """Every undirected edge once, as parallel (u, v) arrays with u < v,
+        in ``adjacency``'s dtype."""
+        src = np.repeat(np.arange(self.node_count, dtype=self.adjacency.dtype), self.degrees)
         keep = src < self.adjacency
-        return src[keep], self.adjacency[keep].astype(np.int64)
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentLabeling:
-    """Connected components, relabelled so component 0 is the largest.
-
-    Ties in size keep the component whose lowest node id is smaller first.
-    """
-
-    labels: np.ndarray
-    sizes: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-    def members(self, component: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == component)
+        return src[keep], self.adjacency[keep]
 
 
 def build_graph(groups: Iterable[Sequence[str]]) -> Graph:
@@ -184,14 +167,10 @@ def density(node_count: int, edge_count: int) -> float:
     return 2.0 * edge_count / (node_count * (node_count - 1))
 
 
-def degree_histogram(g: Graph) -> dict[int, int]:
-    """Map degree value to the number of nodes holding it."""
-    counts = np.bincount(g.degrees)
-    return {int(d): int(c) for d, c in enumerate(counts) if c > 0}
-
-
-def connected_components(g: Graph) -> ComponentLabeling:
-    """Union-find over the edge list, then relabel components by size."""
+def connected_components(g: Graph) -> Partition:
+    """Union-find over the edge list, then relabel components by size:
+    component 0 is the largest, and ties in size keep the component whose
+    lowest node id is smaller first."""
     n = g.node_count
     parent = list(range(n))
 
@@ -210,8 +189,7 @@ def connected_components(g: Graph) -> ComponentLabeling:
             parent[rv] = ru
 
     roots = np.fromiter((find(v) for v in range(n)), count=n, dtype=np.int64)
-    labels, sizes = relabel_by_size(roots)
-    return ComponentLabeling(labels=labels, sizes=sizes)
+    return Partition(*relabel_by_size(roots))
 
 
 def relabel_by_size(groups) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -227,7 +205,42 @@ def relabel_by_size(groups) -> tuple[np.ndarray, tuple[int, ...]]:
     return remap[inverse], tuple(int(c) for c in counts[order])
 
 
-def diameter(g: Graph, *, components: ComponentLabeling | None = None) -> int:
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Dense node-to-group assignment: Louvain communities, or connected
+    components.
+
+    Group ids run 0..count-1 with no gaps; ``sizes[c]`` is the member count
+    of group ``c`` and sums to the node count.
+    """
+
+    labels: np.ndarray
+    sizes: tuple[int, ...]
+
+    @classmethod
+    def from_labels(cls, labels) -> "Partition":
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.ndim != 1 or labels.size == 0:
+            raise DataError("labels must be a non-empty 1-d sequence")
+        count = int(labels.max()) + 1
+        if labels.min() < 0:
+            raise DataError("community ids must be non-negative")
+        if count > labels.size:  # checked before bincount allocates count slots
+            raise DataError("community ids must be dense starting at 0")
+        sizes = np.bincount(labels, minlength=count)
+        if (sizes == 0).any():
+            raise DataError("community ids must be dense starting at 0")
+        return cls(labels=labels, sizes=tuple(int(s) for s in sizes))
+
+    @property
+    def count(self) -> int:
+        return len(self.sizes)
+
+    def members(self, group: int) -> np.ndarray:
+        return np.flatnonzero(self.labels == group)
+
+
+def diameter(g: Graph, *, components: Partition | None = None) -> int:
     """Longest shortest path within the largest connected component."""
     labeling = components if components is not None else connected_components(g)
     if labeling.count > 1:

@@ -33,8 +33,10 @@ class DegreeDistribution:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "DegreeDistribution":
-        from .graph import degree_histogram
-        return cls.from_histogram(degree_histogram(g))
+        histogram = np.bincount(g.degrees)
+        degrees = np.flatnonzero(histogram)
+        counts = histogram[degrees]
+        return cls(degrees=degrees, counts=counts, fractions=counts / g.node_count)
 
     @property
     def total(self) -> int:

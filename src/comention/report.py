@@ -22,10 +22,11 @@ from . import centrality as centrality_mod
 from . import community as community_mod
 from .centrality import FLOAT_FORMAT
 from .errors import DataError
-from .graph import (Graph, build_graph, clique_graph, connected_components, csr_graph,
-                    density, diameter as graph_diameter, read_edge_pairs, write_edge_csv)
+from .graph import (Graph, Partition, build_graph, clique_graph, connected_components,
+                    csr_graph, density, diameter as graph_diameter, read_edge_pairs,
+                    write_edge_csv)
 from .ingest import Articles, collector_paused, ingest_stats, load_aliases, load_articles
-from .community import InducedGraph, Partition
+from .community import InducedGraph
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog
 from .typology import (CATEGORIES, assign_types, build_profiles, kmeans,
                        load_affiliations, type_table)
@@ -199,30 +200,14 @@ def load_input_graph(config: PipelineConfig):
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
 
-def export_graphml(obj, path) -> None:
-    """Serialize a plain or induced graph as GraphML."""
-    if isinstance(obj, Graph):
-        us, vs = obj.edge_arrays()
-        _write_graphml(
-            path, "G", [("d_name", "node", "name", "string")],
-            [(f'id="n{v}"', (("d_name", name),)) for v, name in enumerate(obj.names)],
-            [(f'id="e{i}" source="n{u}" target="n{v}"', ())
-             for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist()))])
-    elif isinstance(obj, InducedGraph):
-        _write_graphml(
-            path, "induced",
-            [("d_label", "node", "label", "string"), ("d_size", "node", "size", "long"),
-             ("d_intra", "node", "intra_weight", "long"),
-             ("d_btw", "node", "mean_betweenness", "double"),
-             ("d_weight", "edge", "weight", "long")],
-            [(f'id="c{c}"', (("d_label", obj.labels[c]), ("d_size", str(obj.sizes[c])),
-                             ("d_intra", str(obj.intra_weights[c])),
-                             ("d_btw", fmt(obj.mean_betweenness[c]))))
-             for c in obj.community_ids],
-            [(f'id="e{i}" source="c{a}" target="c{b}"', (("d_weight", str(w)),))
-             for i, (a, b, w) in enumerate(obj.edges)])
-    else:
-        raise DataError(f"cannot export {type(obj).__name__} as GraphML")
+def export_graphml(g: Graph, path) -> None:
+    """Serialize a graph as GraphML: node ``n<id>`` carries its name."""
+    us, vs = g.edge_arrays()
+    _write_graphml(
+        path, "G", [("d_name", "node", "name", "string")],
+        [(f'id="n{v}"', (("d_name", name),)) for v, name in enumerate(g.names)],
+        [(f'id="e{i}" source="n{u}" target="n{v}"', ())
+         for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist()))])
 
 
 def _write_graphml(path, graph_id: str, keys, nodes, edges) -> None:
@@ -300,6 +285,23 @@ def _shade(value: float, peak: float) -> str:
     # darker fill for higher betweenness; flat inputs come out uniform
     level = 85 if peak <= 0 else 85 - int(round(60.0 * value / peak))
     return f"gray{level}"
+
+
+def export_induced_graphml(ig: InducedGraph, path) -> None:
+    """Serialize an induced graph as GraphML: node ``c<community>`` carries its
+    label, size, intra weight and mean betweenness, each edge its weight."""
+    _write_graphml(
+        path, "induced",
+        [("d_label", "node", "label", "string"), ("d_size", "node", "size", "long"),
+         ("d_intra", "node", "intra_weight", "long"),
+         ("d_btw", "node", "mean_betweenness", "double"),
+         ("d_weight", "edge", "weight", "long")],
+        [(f'id="c{c}"', (("d_label", ig.labels[c]), ("d_size", str(ig.sizes[c])),
+                         ("d_intra", str(ig.intra_weights[c])),
+                         ("d_btw", fmt(ig.mean_betweenness[c]))))
+         for c in ig.community_ids],
+        [(f'id="e{i}" source="c{a}" target="c{b}"', (("d_weight", str(w)),))
+         for i, (a, b, w) in enumerate(ig.edges)])
 
 
 def export_dot(ig: InducedGraph, path) -> None:
@@ -468,8 +470,14 @@ class PipelineRun:
 
     @cached_property
     def diameter(self) -> int:
+        """Longest shortest path in the largest component: the eccentricity of
+        a bundle this run already holds, else one distance-only sweep, so the
+        diameter alone never starts a Brandes sweep."""
+        bundle = vars(self).get("bundle")
+        if bundle is None or bundle.eccentricity is None:
+            return graph_diameter(self.graph, components=self.components)
         largest = self.components.members(0)
-        return int(self.bundle.eccentricity[largest].max()) if largest.size > 1 else 0
+        return int(bundle.eccentricity[largest].max()) if largest.size > 1 else 0
 
     @cached_property
     def summary(self) -> dict:
@@ -550,7 +558,7 @@ def write_community_files(run: PipelineRun) -> list[str]:
 
 def write_induced_files(run: PipelineRun) -> list[str]:
     induced = run.induced
-    export_graphml(induced, run.out / F_INDUCED_GRAPHML)
+    export_induced_graphml(induced, run.out / F_INDUCED_GRAPHML)
     export_dot(induced, run.out / F_INDUCED_DOT)
     write_json(run.out / F_INDUCED_JSON, {
         "communities": [
@@ -644,9 +652,9 @@ class RecordedRun(PipelineRun):
     The graph comes from graph.graphml (its i-th node is node i), the
     partition from partition.csv, read by position (its name column must be
     the graph's names in node order), the scores from centrality.csv,
-    matched by name (degree from the graph), and the diameter from one
-    distance-only sweep, so no community detection, eigenvector iteration or
-    Brandes sweep runs again.  That sweep is bit-parallel and runs in this
+    matched by name (degree from the graph, no eccentricity, so the diameter
+    comes from one distance-only sweep), so no community detection,
+    eigenvector iteration or Brandes sweep runs again.  That sweep is bit-parallel and runs in this
     process: only the Brandes sweep starts worker processes, and
     ``config.threads`` never changes a byte.  Every other product, and every
     file a writer renders into ``config.out_dir``, is :class:`PipelineRun`'s
@@ -660,10 +668,6 @@ class RecordedRun(PipelineRun):
     @cached_property
     def source(self) -> tuple[Graph, None]:
         return read_graphml(self.run_dir / F_GRAPHML), None
-
-    @cached_property
-    def diameter(self) -> int:
-        return graph_diameter(self.graph, components=self.components)
 
     def _rows(self, filename: str) -> list[dict]:
         with open(self.run_dir / filename, "r", encoding="utf-8", newline="") as fh:

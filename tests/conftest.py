@@ -248,7 +248,8 @@ def clustering_oracle(n, pairs):
 
 def graphml_oracle(obj, path):
     """GraphML of a plain or induced graph as ElementTree writes it after
-    ``indent``: the writer ``export_graphml`` replaced, byte for byte."""
+    ``indent``: the writers ``export_graphml`` and ``export_induced_graphml``
+    replaced, byte for byte."""
     root = ET.Element("graphml", xmlns=GRAPHML_NS)
 
     def key(key_id, target, name, kind):

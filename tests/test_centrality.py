@@ -432,8 +432,8 @@ class TestBundleAndInvariance:
         for measure in ("degree", "closeness", "betweenness", "eigenvector",
                         "clustering"):
             tol = 1e-7 if measure == "eigenvector" else 1e-12
-            v1 = b1.by_name(measure)
-            v2 = b2.by_name(measure)
+            v1 = getattr(b1, measure)
+            v2 = getattr(b2, measure)
             for name in names:
                 a = v1[g1.names.index(name)]
                 b = v2[g2.names.index(mapping[name])]

@@ -173,6 +173,65 @@ class TestStats:
         assert payload["edges"] == 4
 
 
+class TestOneDiameter:
+    """``stats``, ``run`` and ``audit`` share one diameter product: the
+    eccentricity of a Brandes bundle the run already holds, else one
+    distance-only sweep."""
+
+    GRAPHS = {"connected": "source,target\nA,B\nB,C\nC,A\nC,D\nD,E\nE,F\n",
+              "disconnected": "source,target\nA,B\nB,C\nC,D\nD,E\nX,Y\nY,Z\n"}
+    FIELDS = ("nodes", "edges", "density", "diameter", "component_count")
+
+    @pytest.fixture(params=sorted(GRAPHS))
+    def graph_csv(self, request, tmp_path):
+        path = tmp_path / f"{request.param}.csv"
+        path.write_text(self.GRAPHS[request.param], encoding="utf-8")
+        return path
+
+    @staticmethod
+    def sweeps(monkeypatch) -> list[str]:
+        """The kind of every sweep started from here on, wherever it is looked up."""
+        kinds = []
+        for module in (_sweep, centrality, graph):
+            def watched(*args, betweenness=False, _original=module.sweep, **kwargs):
+                kinds.append("brandes" if betweenness else "distance")
+                return _original(*args, betweenness=betweenness, **kwargs)
+            monkeypatch.setattr(module, "sweep", watched)
+        return kinds
+
+    def test_stats_starts_no_brandes_sweep(self, graph_csv, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stats computed a centrality bundle")
+
+        monkeypatch.setattr(centrality, "compute_bundle", forbidden)
+        kinds = self.sweeps(monkeypatch)
+        assert run_cli("stats", "--input", graph_csv, "--input-format", "edges") == 0
+        assert kinds == ["distance"]
+
+    def test_run_starts_no_distance_sweep(self, tmp_path, graph_csv, monkeypatch):
+        kinds = self.sweeps(monkeypatch)
+        assert run_cli("run", "--input", graph_csv, "--input-format", "edges", "--seed", "1",
+                       "--min-community-size", "1", "--out-dir", tmp_path / "out") == 0
+        assert kinds == ["brandes"]
+
+    def test_stats_run_and_audit_agree(self, tmp_path, graph_csv, capsys):
+        assert run_cli("stats", "--input", graph_csv, "--input-format", "edges") == 0
+        stats = json.loads(capsys.readouterr().out)
+        out = tmp_path / "out"
+        assert run_cli("run", "--input", graph_csv, "--input-format", "edges", "--seed", "1",
+                       "--min-community-size", "1", "--out-dir", out) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        checks = {check.name: check for check in report.audit(out)}
+        assert all(check.ok for check in checks.values())
+        # each summary check's detail is "<recomputed> vs <recorded>"
+        audited = {name: json.loads(checks[name].detail.split(" vs ")[0])
+                   for name in self.FIELDS}
+        for name in self.FIELDS:
+            assert stats[name] == summary[name] == audited[name], name
+        assert (stats["component_count"] > 1) == (graph_csv.stem == "disconnected")
+        assert stats["largest_component"] == {"connected": 6, "disconnected": 5}[graph_csv.stem]
+
+
 class TestCentrality:
     def test_writes_tables(self, tmp_path, articles):
         out = tmp_path / "out"

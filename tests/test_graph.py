@@ -19,9 +19,9 @@ from conftest import (
 )
 from comention import (
     DataError,
+    DegreeDistribution,
     build_graph,
     connected_components,
-    degree_histogram,
     density,
     diameter,
     normalize_name,
@@ -188,6 +188,13 @@ class TestDegree:
             assert int(g.degrees.sum()) == 2 * g.edge_count
 
 
+def degree_histogram(g):
+    """Degree value -> number of nodes holding it, as the graph's
+    :class:`DegreeDistribution` gives it."""
+    dist = DegreeDistribution.from_graph(g)
+    return dict(zip(dist.degrees.tolist(), dist.counts.tolist()))
+
+
 class TestDegreeHistogram:
     def test_star(self):
         assert degree_histogram(star(5)) == {1: 5, 5: 1}
@@ -207,9 +214,11 @@ class TestDegreeHistogram:
         rng = np.random.default_rng(19)
         for _ in range(20):
             g = graph_from(random_pairs(rng))
-            hist = degree_histogram(g)
-            assert sum(hist.values()) == g.node_count
-            assert set(hist) == set(np.unique(g.degrees).tolist())
+            dist = DegreeDistribution.from_graph(g)
+            assert dist.degrees.tolist() == np.unique(g.degrees).tolist()
+            assert dist.counts.tolist() == [int((g.degrees == d).sum()) for d in dist.degrees]
+            assert dist.counts.sum() == g.node_count
+            assert dist.fractions.tolist() == (dist.counts / dist.counts.sum()).tolist()
 
 
 class TestConnectedComponents:

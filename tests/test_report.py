@@ -19,6 +19,7 @@ from comention import (
     emit_plot_data,
     export_dot,
     export_graphml,
+    export_induced_graphml,
     fit_loglog,
     induced_graph,
     louvain,
@@ -376,7 +377,7 @@ class TestGraphML:
         bundle = compute_bundle(g)
         ind = induced_graph(g, p, [0, 1], bundle)
         path = tmp_path / "induced.graphml"
-        export_graphml(ind, path)
+        export_induced_graphml(ind, path)
         text = path.read_text(encoding="utf-8")
         assert "weight" in text
         tree = ET.parse(path)
@@ -388,8 +389,8 @@ class TestGraphML:
         assert "2" in weights
 
     @staticmethod
-    def same_as_oracle(obj, tmp_path):
-        export_graphml(obj, tmp_path / "written.graphml")
+    def same_as_oracle(obj, tmp_path, write=export_graphml):
+        write(obj, tmp_path / "written.graphml")
         graphml_oracle(obj, tmp_path / "oracle.graphml")
         written = (tmp_path / "written.graphml").read_bytes()
         assert written == (tmp_path / "oracle.graphml").read_bytes()
@@ -433,14 +434,14 @@ class TestGraphML:
             ind = induced_graph(g, p, list(range(p.count // 2)), bundle,
                                 include_other=include_other)
             assert ind.edges and (-1 in ind.community_ids) == include_other
-            self.same_as_oracle(ind, tmp_path)
+            self.same_as_oracle(ind, tmp_path, export_induced_graphml)
 
     def test_single_community_induced_matches_element_tree(self, tmp_path):
         g = build_graph([("A", "B"), ("B", "C")])
         p = Partition.from_labels([0, 0, 0])
         ind = induced_graph(g, p, [0], compute_bundle(g), include_other=True)
         assert ind.community_ids == (0,) and not ind.edges
-        self.same_as_oracle(ind, tmp_path)
+        self.same_as_oracle(ind, tmp_path, export_induced_graphml)
 
 
 class TestDot:
