@@ -51,8 +51,9 @@ def _print_json(payload) -> None:
 def cmd_write(args) -> int:
     """Run one report writer, looked up at call time so wrappers installed later see it."""
     run = _run(args)
-    written = getattr(report, args.writer)(run)
-    logger.info("wrote %s", ", ".join(str(run.out / name) for name in written))
+    getattr(report, args.writer)(run)
+    logger.info("wrote %s", ", ".join(str(run.out / f.name) for f in report.RUN_FILES
+                                      if f.writer == args.writer))
     return 0
 
 
@@ -161,7 +162,7 @@ COMMANDS = {
     "ingest": ("parse articles and emit the edge list + corpus stats",
                "write_ingest_files", "input! aliases out_dir!"),
     "stats": ("graph-level numbers (nodes, edges, density, diameter)",
-              cmd_stats, f"{SOURCE} threads out_dir"),
+              cmd_stats, f"{SOURCE} out_dir"),
     "centrality": ("per-node centralities and the top-10 leaderboards",
                    "write_centrality_files", f"{STAGE} top_k_persons"),
     "communities": ("Louvain partition, community table, top members",

@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,31 +35,7 @@ logger = logging.getLogger(__name__)
 
 INPUT_FORMATS = ("articles", "edges")
 
-F_EDGES = "edges.csv"
-F_INGEST = "ingest_stats.json"
-F_SUMMARY = "summary.json"
-F_DEGREE_DIST = "degree_dist.csv"
-F_POWERLAW_FIT = "powerlaw_fit.csv"
-F_POWERLAW = "powerlaw.json"
-F_CENTRALITY = "centrality.csv"
-F_TOP10 = "top10.csv"
-F_PARTITION = "partition.csv"
-F_COMMUNITIES = "communities.csv"
-F_TOP_MEMBERS = "top_members.csv"
-F_GRAPHML = "graph.graphml"
-F_INDUCED_GRAPHML = "induced.graphml"
-F_INDUCED_DOT = "induced.dot"
-F_INDUCED_JSON = "induced.json"
-F_PROFILES = "profiles.csv"
-F_TYPOLOGY = "typology.csv"
-F_COMMUNITY_TYPES = "community_types.csv"
-F_MANIFEST = "manifest.json"
-# what every run writes; article input adds F_INGEST and typology its three files
-RUN_FILES = (F_EDGES, F_SUMMARY, F_CENTRALITY, F_TOP10, F_PARTITION, F_COMMUNITIES,
-             F_TOP_MEMBERS, F_INDUCED_GRAPHML, F_INDUCED_DOT, F_INDUCED_JSON,
-             F_DEGREE_DIST, F_POWERLAW_FIT, F_POWERLAW, F_GRAPHML)
-# every name a manifest may list
-KNOWN_FILES = frozenset((*RUN_FILES, F_INGEST, F_PROFILES, F_TYPOLOGY, F_COMMUNITY_TYPES))
+MANIFEST = "manifest.json"
 
 MARK = "†"  # appended to names appearing in more than one leaderboard
 
@@ -500,23 +476,59 @@ SUMMARY_FIELDS = {
 
 
 # ------------------------------------------------------- artifact writers
-# Each writer takes the run, asks it for the products it needs and returns
-# the names of the files it wrote.
+# Each writer takes the run and asks it for the products it needs.
 
-def write_ingest_files(run: PipelineRun) -> list[str]:
+class RunFile(NamedTuple):
+    name: str
+    writer: str  # the report function that writes it
+    check: str | None  # the audit check that re-renders it, if any
+    only: str | None = None  # written only for "articles" input, or unless "typology" skipped
+
+
+# Every file a run writes but the manifest, in the order the audit checks
+# them.  Writers are named, and looked up at call time, so that wrappers
+# installed after import see the call.
+RUN_FILES = (
+    RunFile("partition.csv", "write_partition_files", "partition"),
+    RunFile("summary.json", "write_summary_file", None),  # checked through SUMMARY_FIELDS
+    RunFile("graph.graphml", "write_graph_files", "graphml"),
+    RunFile("edges.csv", "write_ingest_files", "edge_list"),
+    RunFile("ingest_stats.json", "write_ingest_files", None, "articles"),
+    RunFile("centrality.csv", "write_centrality_files", "centrality"),
+    RunFile("top10.csv", "write_centrality_files", "top10"),
+    RunFile("communities.csv", "write_community_files", "community_means"),
+    RunFile("top_members.csv", "write_community_files", "top_members"),
+    RunFile("degree_dist.csv", "write_powerlaw_files", "degree_dist"),
+    RunFile("powerlaw_fit.csv", "write_powerlaw_files", "powerlaw_fit"),
+    RunFile("powerlaw.json", "write_powerlaw_files", "powerlaw"),
+    RunFile("induced.graphml", "write_induced_files", None),
+    RunFile("induced.dot", "write_induced_files", None),
+    RunFile("induced.json", "write_induced_files", None),
+    RunFile("profiles.csv", "write_typology_files", None, "typology"),
+    RunFile("typology.csv", "write_typology_files", None, "typology"),
+    RunFile("community_types.csv", "write_typology_files", None, "typology"),
+)
+
+
+def run_files(input_format: str, skipped) -> list[RunFile]:
+    """The entries a run writes, given its input format and skipped stages."""
+    holds = {None: True, "articles": input_format == "articles",
+             "typology": "typology" not in skipped}
+    return [f for f in RUN_FILES if holds[f.only]]
+
+
+def write_ingest_files(run: PipelineRun) -> None:
     """edges.csv, plus ingest_stats.json for article input."""
     g, articles = run.source
-    write_edge_csv(g, run.out / F_EDGES)
-    if articles is None:
-        return [F_EDGES]
-    write_json(run.out / F_INGEST, ingest_stats(articles, g))
-    return [F_EDGES, F_INGEST]
+    write_edge_csv(g, run.out / "edges.csv")
+    if articles is not None:
+        write_json(run.out / "ingest_stats.json", ingest_stats(articles, g))
 
 
-def write_centrality_files(run: PipelineRun) -> list[str]:
+def write_centrality_files(run: PipelineRun) -> None:
     """centrality.csv and the four-column leaderboard top10.csv."""
     g, bundle = run.graph, run.bundle
-    write_csv(run.out / F_CENTRALITY,
+    write_csv(run.out / "centrality.csv",
               ["name", "degree", "closeness", "betweenness", "eigenvector", "clustering"],
               ([g.names[v], int(bundle.degree[v]), float(bundle.closeness[v]),
                 float(bundle.betweenness[v]), float(bundle.eigenvector[v]),
@@ -524,43 +536,39 @@ def write_centrality_files(run: PipelineRun) -> list[str]:
                for v in centrality_mod.rank(g, bundle.written("betweenness"))))
     table = centrality_mod.top_table(g, bundle, k=run.config.top_k_persons)
     # every column ranks all nodes, so all have one length
-    write_csv(run.out / F_TOP10, ["rank", *table.measures],
+    write_csv(run.out / "top10.csv", ["rank", *table.measures],
               ([i, *(name + MARK if table.marked(name) else name for name in names)]
                for i, names in enumerate(zip(*(table.columns[m] for m in table.measures)),
                                          start=1)))
-    return [F_CENTRALITY, F_TOP10]
 
 
-def write_graph_files(run: PipelineRun) -> list[str]:
-    export_graphml(run.graph, run.out / F_GRAPHML)
-    return [F_GRAPHML]
+def write_graph_files(run: PipelineRun) -> None:
+    export_graphml(run.graph, run.out / "graph.graphml")
 
 
-def write_partition_files(run: PipelineRun) -> list[str]:
+def write_partition_files(run: PipelineRun) -> None:
     g, partition = run.graph, run.partition
-    write_csv(run.out / F_PARTITION, ["name", "community"],
+    write_csv(run.out / "partition.csv", ["name", "community"],
               ([g.names[v], int(partition.labels[v])] for v in range(g.node_count)))
-    return [F_PARTITION]
 
 
-def write_community_files(run: PipelineRun) -> list[str]:
+def write_community_files(run: PipelineRun) -> None:
     """communities.csv and top_members.csv over the retained communities."""
-    write_csv(run.out / F_COMMUNITIES, ["rank", "label", "B", "S", "C", "E", "CC", "D"],
+    write_csv(run.out / "communities.csv", ["rank", "label", "B", "S", "C", "E", "CC", "D"],
               ([i + 1, s.label, s.mean_betweenness, s.size, s.mean_closeness,
                 s.mean_eigenvector, s.mean_clustering, s.internal_density]
                for i, s in enumerate(run.summaries)))
     members = run.members
-    write_csv(run.out / F_TOP_MEMBERS, ["community", "label", "rank", "name"],
+    write_csv(run.out / "top_members.csv", ["community", "label", "rank", "name"],
               ([c, run.labels[c], i, name] for c in sorted(members)
                for i, name in enumerate(members[c], start=1)))
-    return [F_COMMUNITIES, F_TOP_MEMBERS]
 
 
-def write_induced_files(run: PipelineRun) -> list[str]:
+def write_induced_files(run: PipelineRun) -> None:
     induced = run.induced
-    export_induced_graphml(induced, run.out / F_INDUCED_GRAPHML)
-    export_dot(induced, run.out / F_INDUCED_DOT)
-    write_json(run.out / F_INDUCED_JSON, {
+    export_induced_graphml(induced, run.out / "induced.graphml")
+    export_dot(induced, run.out / "induced.dot")
+    write_json(run.out / "induced.json", {
         "communities": [
             {"community": c, "label": induced.labels[c], "size": induced.sizes[c],
              "mean_betweenness": float(fmt(induced.mean_betweenness[c])),
@@ -568,37 +576,39 @@ def write_induced_files(run: PipelineRun) -> list[str]:
             for c in induced.community_ids],
         "edges": [{"a": a, "b": b, "weight": w} for a, b, w in induced.edges],
         "dropped_edges": induced.dropped_edges})
-    return [F_INDUCED_GRAPHML, F_INDUCED_DOT, F_INDUCED_JSON]
 
 
-def write_powerlaw_files(run: PipelineRun) -> list[str]:
+def write_powerlaw_files(run: PipelineRun) -> None:
     """degree_dist.csv, the plot data and powerlaw.json (null when skipped)."""
     dist, fit = run.degree_dist, run.powerlaw
-    write_csv(run.out / F_DEGREE_DIST, ["d", "count", "f_d"],
+    write_csv(run.out / "degree_dist.csv", ["d", "count", "f_d"],
               zip(dist.degrees.tolist(), dist.counts.tolist(), dist.fractions.tolist()))
-    emit_plot_data(dist, fit, run.out / F_POWERLAW_FIT)
-    write_json(run.out / F_POWERLAW, None if fit is None else dataclasses.asdict(fit))
-    return [F_DEGREE_DIST, F_POWERLAW_FIT, F_POWERLAW]
+    emit_plot_data(dist, fit, run.out / "powerlaw_fit.csv")
+    write_json(run.out / "powerlaw.json", None if fit is None else dataclasses.asdict(fit))
 
 
-def write_typology_files(run: PipelineRun) -> list[str]:
+def write_typology_files(run: PipelineRun) -> None:
     profiles, assignment, types = run.require("typology")
-    write_csv(run.out / F_PROFILES, ["community", *CATEGORIES, "unlabeled"],
+    write_csv(run.out / "profiles.csv", ["community", *CATEGORIES, "unlabeled"],
               ([p.community, *p.counts.tolist(), p.unlabeled] for p in profiles))
     headers = ["category"] + [f"T{i + 1}" for i in range(len(types.type_ids))]
     rows = [[cat, *types.matrix[i].tolist()] for i, cat in enumerate(types.categories)]
     rows.append(["communities", *types.communities_per_type])
-    write_csv(run.out / F_TYPOLOGY, headers, rows)
+    write_csv(run.out / "typology.csv", headers, rows)
     display = {raw: i + 1 for i, raw in enumerate(types.type_ids)}
-    write_csv(run.out / F_COMMUNITY_TYPES, ["community", "label", "type", "type_name"],
+    write_csv(run.out / "community_types.csv", ["community", "label", "type", "type_name"],
               ([c, run.labels[c], display[assignment.types[c]],
                 types.type_names[display[assignment.types[c]] - 1]]
                for c in sorted(assignment.types)))
-    return [F_PROFILES, F_TYPOLOGY, F_COMMUNITY_TYPES]
+
+
+def write_summary_file(run: PipelineRun) -> None:
+    write_json(run.out / "summary.json", run.summary)
 
 
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
-    """Run every stage, write every file, then summary.json and the manifest.
+    """Run every stage, write every file :data:`RUN_FILES` lists for this
+    run, then the manifest.
 
     Every product is computed before the first file is written, so a data
     error leaves no partial output.  A stage that cannot run on this input
@@ -609,17 +619,13 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     for product in ("powerlaw", "typology", "degree_closeness_correlation", "summary",
                     "labels", "members", "induced"):
         getattr(run, product)
-    emitted = [*write_ingest_files(run), *write_centrality_files(run),
-               *write_partition_files(run), *write_community_files(run),
-               *write_induced_files(run), *write_powerlaw_files(run), *write_graph_files(run)]
-    if run.typology is not None:
-        emitted += write_typology_files(run)
-    write_json(run.out / F_SUMMARY, run.summary)
-    emitted.append(F_SUMMARY)
+    files = run_files(config.input_format, run.skipped)
+    for writer in dict.fromkeys(f.writer for f in files):
+        globals()[writer](run)
 
     skipped = tuple(run.skipped.items())
-    digests = {name: sha256_file(run.out / name) for name in sorted(emitted)}
-    write_json(run.out / F_MANIFEST, {
+    digests = {name: sha256_file(run.out / name) for name in sorted(f.name for f in files)}
+    write_json(run.out / MANIFEST, {
         "config": config.echo(),
         "files": digests,
         "skipped": [list(item) for item in skipped],
@@ -654,11 +660,12 @@ class RecordedRun(PipelineRun):
     the graph's names in node order), the scores from centrality.csv,
     matched by name (degree from the graph, no eccentricity, so the diameter
     comes from one distance-only sweep), so no community detection,
-    eigenvector iteration or Brandes sweep runs again.  That sweep is bit-parallel and runs in this
-    process: only the Brandes sweep starts worker processes, and
-    ``config.threads`` never changes a byte.  Every other product, and every
-    file a writer renders into ``config.out_dir``, is :class:`PipelineRun`'s
-    own; edges.csv is the only ingest file it renders.
+    eigenvector iteration or Brandes sweep runs again.  That sweep is
+    bit-parallel and runs in this process: only the Brandes sweep starts
+    worker processes, and ``config.threads`` never changes a byte.  Every
+    other product, and every file a writer renders into ``config.out_dir``,
+    is :class:`PipelineRun`'s own; edges.csv is the only ingest file it
+    renders.
     """
 
     def __init__(self, run_dir: Path, config: PipelineConfig):
@@ -667,7 +674,7 @@ class RecordedRun(PipelineRun):
 
     @cached_property
     def source(self) -> tuple[Graph, None]:
-        return read_graphml(self.run_dir / F_GRAPHML), None
+        return read_graphml(self.run_dir / "graph.graphml"), None
 
     def _rows(self, filename: str) -> list[dict]:
         with open(self.run_dir / filename, "r", encoding="utf-8", newline="") as fh:
@@ -675,22 +682,22 @@ class RecordedRun(PipelineRun):
 
     @cached_property
     def partition(self) -> Partition:
-        rows, names = self._rows(F_PARTITION), self.graph.names
+        rows, names = self._rows("partition.csv"), self.graph.names
         if [row["name"] for row in rows] != list(names):
             first = next((i for i, (row, name) in enumerate(zip(rows, names))
                           if row["name"] != name), min(len(rows), len(names)))
-            raise DataError(f"{self.run_dir / F_PARTITION}: rows are not in the node order "
-                            f"of {F_GRAPHML}, first at row {first + 1}")
+            raise DataError(f"{self.run_dir / 'partition.csv'}: rows are not in the node "
+                            f"order of graph.graphml, first at row {first + 1}")
         return Partition.from_labels([int(row["community"]) for row in rows])
 
     @cached_property
     def bundle(self) -> centrality_mod.CentralityBundle:
         measures = ["closeness", "betweenness", "eigenvector", "clustering"]
-        rows = self._rows(F_CENTRALITY)
+        rows = self._rows("centrality.csv")
         by_name = {row["name"]: row for row in rows}
         if len(by_name) != len(rows) or by_name.keys() != set(self.graph.names):
-            raise DataError(f"{self.run_dir / F_CENTRALITY}: rows do not name each graph "
-                            f"node once")
+            raise DataError(f"{self.run_dir / 'centrality.csv'}: rows do not name each "
+                            f"graph node once")
         columns = np.array([[by_name[name][m] for m in measures] for name in self.graph.names],
                            dtype=np.float64).T
         return centrality_mod.CentralityBundle(
@@ -702,16 +709,16 @@ def audit(out_dir) -> list[AuditCheck]:
     """Read a run back and check that its files say what the run computes.
 
     Digests are verified for every manifest entry; an entry that is not a
-    file name a run writes fails unopened.  The run is read back as a
+    file name in :data:`RUN_FILES` fails unopened.  The run is read back as a
     :class:`RecordedRun`: every summary.json field is compared with the one
-    it computes, and the run's own writers re-render graph.graphml, the edge
-    list and the centrality, community and power-law tables into a temporary
-    directory, each compared with the file on disk.  Each check runs on its
+    it computes, and the run's own writers re-render each file whose
+    :data:`RUN_FILES` entry names a check into a temporary directory, each
+    compared with the file on disk under that check.  Each check runs on its
     own: one that cannot be computed from the files, say because a row was
     renamed or deleted, becomes a failed check whose detail names the cause.
     """
     out = Path(out_dir)
-    manifest_path = out / F_MANIFEST
+    manifest_path = out / MANIFEST
     if not manifest_path.exists():
         return [AuditCheck("manifest", False, f"{manifest_path} not found")]
     checks: list[AuditCheck] = []
@@ -728,36 +735,27 @@ def audit(out_dir) -> list[AuditCheck]:
     if manifest is None:
         return checks
     attempt("digests", lambda: _audit_digests(out, manifest, checks))
-    summary = attempt("summary", lambda: _json_object(_read_json(out / F_SUMMARY), F_SUMMARY))
+    summary = attempt("summary", lambda: _json_object(_read_json(out / "summary.json"),
+                                                      "summary.json"))
     with tempfile.TemporaryDirectory() as scratch:
         run = attempt("config", lambda: RecordedRun(out, PipelineConfig.from_mapping({
-            **manifest.get("config", {}), "input": str(out / F_GRAPHML), "out_dir": scratch})))
+            **manifest.get("config", {}), "input": str(out / "graph.graphml"),
+            "out_dir": scratch})))
         if run is None or attempt("graph", lambda: run.graph) is None:
             return checks
-        attempt("partition", lambda: checks.append(AuditCheck(
-            "partition", True, f"one row per graph node, {run.partition.count} communities")))
-        if summary is not None:
-            for name in dict.fromkeys([*SUMMARY_FIELDS, *summary]):
-                attempt(name, lambda: checks.append(
-                    _audit_field(name, SUMMARY_FIELDS[name](run), summary[name])))
-        # each re-rendered file, its check and its writer, named here so that
-        # wrappers installed after import see the call
-        rendered = {}
-        for name, check, writer in (
-                (F_GRAPHML, "graphml", write_graph_files),
-                (F_EDGES, "edge_list", write_ingest_files),
-                (F_CENTRALITY, "centrality", write_centrality_files),
-                (F_TOP10, "top10", write_centrality_files),
-                (F_COMMUNITIES, "community_means", write_community_files),
-                (F_TOP_MEMBERS, "top_members", write_community_files),
-                (F_DEGREE_DIST, "degree_dist", write_powerlaw_files),
-                (F_POWERLAW_FIT, "powerlaw_fit", write_powerlaw_files),
-                (F_POWERLAW, "powerlaw", write_powerlaw_files)):
+        rendered = set()  # writers already called
+        for entry in RUN_FILES:
             def compare():
-                if writer not in rendered:
-                    rendered[writer] = writer(run)
-                return _audit_file(check, out / name, run.out / name)
-            attempt(check, lambda: checks.append(compare()))
+                if entry.writer not in rendered:
+                    globals()[entry.writer](run)
+                    rendered.add(entry.writer)
+                return _audit_file(entry.check, out / entry.name, run.out / entry.name)
+            if entry.check is not None:
+                attempt(entry.check, lambda: checks.append(compare()))
+            elif entry.name == "summary.json" and summary is not None:  # field by field
+                for name in dict.fromkeys([*SUMMARY_FIELDS, *summary]):
+                    attempt(name, lambda: checks.append(
+                        _audit_field(name, SUMMARY_FIELDS[name](run), summary[name])))
     attempt("induced_conservation", lambda: _audit_induced(out, run.graph, checks))
     return checks
 
@@ -774,24 +772,22 @@ def _json_object(value, what: str) -> dict:
 
 
 def _read_manifest(path) -> dict:
-    manifest = _json_object(_read_json(path), F_MANIFEST)
+    manifest = _json_object(_read_json(path), MANIFEST)
     for key in ("config", "files"):
-        _json_object(manifest.get(key, {}), f"{F_MANIFEST} {key!r}")
+        _json_object(manifest.get(key, {}), f"{MANIFEST} {key!r}")
     return manifest
 
 
 def _audit_digests(out: Path, manifest: dict, checks: list[AuditCheck]) -> None:
     """Every listed file matches its digest, and every file the run wrote is listed."""
     files = manifest.get("files", {})
-    written = set(RUN_FILES)
-    if manifest.get("config", {}).get("input_format", "articles") == "articles":
-        written.add(F_INGEST)
-    if "typology" not in dict(manifest.get("skipped", [])):
-        written.update((F_PROFILES, F_TYPOLOGY, F_COMMUNITY_TYPES))
+    input_format = manifest.get("config", {}).get("input_format", "articles")
+    written = {f.name for f in run_files(input_format, dict(manifest.get("skipped", [])))}
+    known = {f.name for f in RUN_FILES}
     problems = [(name, "not listed in manifest") for name in sorted(written - set(files))]
     for name, expected in files.items():
         path = out / name
-        if name not in KNOWN_FILES:  # never opened: it may name any path
+        if name not in known:  # never opened: it may name any path
             problems.append((name, "not a file a run writes"))
         elif not path.exists():
             problems.append((name, "missing"))
@@ -834,7 +830,7 @@ def _same_cell(a: str, b: str) -> bool:
 
 
 def _audit_induced(out: Path, g: Graph, checks: list[AuditCheck]) -> None:
-    induced = _read_json(out / F_INDUCED_JSON)
+    induced = _read_json(out / "induced.json")
     total = (sum(e["weight"] for e in induced["edges"])
              + sum(c["intra_weight"] for c in induced["communities"])
              + induced["dropped_edges"])

@@ -44,7 +44,6 @@ from comention import (
     modularity,
     run_pipeline,
 )
-from comention.report import F_INDUCED_JSON, F_MANIFEST, F_SUMMARY
 from comention.synth import benchmark_graph, generate_corpus, planted_partition, write_articles_jsonl
 
 
@@ -245,12 +244,12 @@ def test_criterion_10_end_to_end_determinism(bundled_corpus, tmp_path):
             run_pipeline(cfg)
         elapsed.append(budget.elapsed)
 
-    m1 = (tmp_path / "run1" / F_MANIFEST).read_bytes()
-    m2 = (tmp_path / "run2" / F_MANIFEST).read_bytes()
+    m1 = (tmp_path / "run1" / "manifest.json").read_bytes()
+    m2 = (tmp_path / "run2" / "manifest.json").read_bytes()
     assert m1 == m2
 
-    summary = json.loads((tmp_path / "run1" / F_SUMMARY).read_text())
-    induced = json.loads((tmp_path / "run1" / F_INDUCED_JSON).read_text())
+    summary = json.loads((tmp_path / "run1" / "summary.json").read_text())
+    induced = json.loads((tmp_path / "run1" / "induced.json").read_text())
     total = (
         sum(e["weight"] for e in induced["edges"])
         + sum(c["intra_weight"] for c in induced["communities"])

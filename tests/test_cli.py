@@ -708,15 +708,12 @@ class TestAuditCommand:
 
 class TestOptionValidation:
     @pytest.mark.parametrize("command",
-                             ["stats", "centrality", "communities", "induced",
-                              "typology", "run"])
+                             ["centrality", "communities", "induced", "typology", "run"])
     @pytest.mark.parametrize("threads", ["-3", "0"])
     def test_non_positive_threads_is_data_error(self, tmp_path, articles, command,
                                                 threads):
         out = tmp_path / "out"
-        argv = [command, "--input", articles, "--threads", threads]
-        if command != "stats":
-            argv += ["--out-dir", out]
+        argv = [command, "--input", articles, "--threads", threads, "--out-dir", out]
         if command in ("communities", "induced", "typology", "run"):
             argv += ["--seed", "5", "--min-community-size", "2"]
         if command == "typology":
@@ -725,6 +722,12 @@ class TestOptionValidation:
             argv += ["--affiliations", aff, "--k", "2"]
         assert run_cli(*argv) == 2
         assert not out.exists()
+
+    def test_stats_takes_no_threads(self, articles):
+        """stats starts no Brandes sweep, the only stage that reads --threads."""
+        with pytest.raises(SystemExit) as err:
+            run_cli("stats", "--input", articles, "--threads", "2")
+        assert err.value.code == 1
 
     @pytest.mark.parametrize("command", ["communities", "induced", "typology", "run"])
     def test_negative_seed_is_data_error(self, tmp_path, articles, capsys, command):
@@ -820,7 +823,7 @@ class TestParser:
     DETECT = f"{STAGE} --seed! --resolution --min-community-size"
     OPTIONS = {
         "ingest": "--input! --aliases --out-dir!",
-        "stats": f"{SOURCE} --threads --out-dir",
+        "stats": f"{SOURCE} --out-dir",
         "centrality": f"{STAGE} --top-k-persons",
         "communities": f"{DETECT} --top-k-members",
         "induced": f"{DETECT} --include-other+",
@@ -1009,6 +1012,15 @@ class TestStageParity:
         "typology": ["--seed", "5", "--min-community-size", "2", "--k", "2"],
         "fit-powerlaw": [],
     }
+    # exactly the files each stage writes
+    WRITES = {
+        "ingest": {"edges.csv", "ingest_stats.json"},
+        "centrality": {"centrality.csv", "top10.csv"},
+        "communities": {"communities.csv", "partition.csv", "top_members.csv"},
+        "induced": {"induced.dot", "induced.graphml", "induced.json"},
+        "typology": {"community_types.csv", "profiles.csv", "typology.csv"},
+        "fit-powerlaw": {"degree_dist.csv", "powerlaw.json", "powerlaw_fit.csv"},
+    }
 
     @staticmethod
     def assert_parity(tmp_path, source, affiliations, capsys):
@@ -1037,13 +1049,9 @@ class TestStageParity:
         aff = tmp_path / "affiliations.csv"
         aff.write_text(AFFILIATIONS, encoding="utf-8")
         written = self.assert_parity(tmp_path, ["--input", articles], aff, capsys)
-        for stage, names in (
-                ("ingest", {"edges.csv", "ingest_stats.json"}),
-                ("centrality", {"centrality.csv", "top10.csv"}),
-                ("communities", {"communities.csv", "partition.csv", "top_members.csv"}),
-                ("induced", {"induced.dot", "induced.graphml", "induced.json"}),
-                ("typology", {"community_types.csv", "profiles.csv", "typology.csv"})):
-            assert names <= set(written[stage]), stage
+        for stage in self.STAGES:
+            if stage != "fit-powerlaw":
+                assert set(written[stage]) == self.WRITES[stage], stage
         # two distinct tail degrees: the fit is skipped by run, an error here
         assert written["fit-powerlaw"] == []
 
@@ -1057,9 +1065,9 @@ class TestStageParity:
             encoding="utf-8")
         written = self.assert_parity(
             tmp_path, ["--input", edges, "--input-format", "edges"], aff, capsys)
-        assert {"degree_dist.csv", "powerlaw.json", "powerlaw_fit.csv"} <= set(
-            written["fit-powerlaw"])
-        assert all(written[stage] for stage in self.STAGES if stage != "ingest")
+        for stage in self.STAGES:
+            if stage != "ingest":
+                assert set(written[stage]) == self.WRITES[stage], stage
 
 
 class TestEdgesInput:

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import hashlib
+import itertools
 import json
 import xml.etree.ElementTree as ET
 
@@ -29,19 +31,8 @@ from comention import (
     top_members,
 )
 from comention.report import (
-    F_CENTRALITY,
-    F_COMMUNITIES,
-    F_COMMUNITY_TYPES,
-    F_DEGREE_DIST,
-    F_EDGES,
-    F_INDUCED_JSON,
-    F_INGEST,
-    F_MANIFEST,
-    F_PARTITION,
-    F_PROFILES,
-    F_SUMMARY,
-    F_TOP10,
-    F_TYPOLOGY,
+    RUN_FILES,
+    SUMMARY_FIELDS,
     PipelineRun,
     audit,
     write_centrality_files,
@@ -157,12 +148,12 @@ class TestRunPipeline:
         assert bundle.summary["component_count"] == 1
         assert bundle.summary["diameter"] == 3
 
-        with open(out / F_PARTITION, newline="", encoding="utf-8") as fh:
+        with open(out / "partition.csv", newline="", encoding="utf-8") as fh:
             community_of = {
                 row["name"]: int(row["community"])
                 for row in csv.DictReader(fh)
             }
-        with open(out / F_EDGES, newline="", encoding="utf-8") as fh:
+        with open(out / "edges.csv", newline="", encoding="utf-8") as fh:
             edge_rows = [
                 (row["source"], row["target"]) for row in csv.DictReader(fh)
             ]
@@ -174,34 +165,48 @@ class TestRunPipeline:
         )
 
         for name in (
-            F_EDGES,
-            F_INGEST,
-            F_PARTITION,
-            F_TOP10,
-            F_DEGREE_DIST,
-            F_PROFILES,
-            F_TYPOLOGY,
-            F_COMMUNITY_TYPES,
-            F_SUMMARY,
+            "edges.csv",
+            "ingest_stats.json",
+            "partition.csv",
+            "top10.csv",
+            "degree_dist.csv",
+            "profiles.csv",
+            "typology.csv",
+            "community_types.csv",
+            "summary.json",
         ):
             assert name in bundle.files
             assert (out / name).exists()
-        assert (out / F_MANIFEST).exists()
+        assert (out / "manifest.json").exists()
 
         # only two distinct tail degrees here, so the power-law stage skips
         assert bundle.summary["alpha"] is None
         assert any(stage == "powerlaw" for stage, _ in bundle.skipped)
 
-    def test_manifest_lists_the_documented_files(self, tmp_path):
-        bundle = run_pipeline(clique_config(tmp_path))
-        assert set(bundle.files) == {
-            "edges.csv", "ingest_stats.json", "graph.graphml", "centrality.csv",
-            "top10.csv", "partition.csv", "communities.csv", "top_members.csv",
-            "induced.json", "induced.graphml", "induced.dot", "degree_dist.csv",
-            "powerlaw_fit.csv", "powerlaw.json", "profiles.csv", "typology.csv",
-            "community_types.csv", "summary.json"}
+    @pytest.mark.parametrize("affiliations", [True, False],
+                             ids=["affiliations", "no-affiliations"])
+    @pytest.mark.parametrize("input_format", ["articles", "edges"])
+    def test_manifest_lists_the_documented_files(self, tmp_path, input_format, affiliations):
+        cfg = clique_config(tmp_path, with_affiliations=affiliations)
+        expected = {
+            "edges.csv", "graph.graphml", "centrality.csv", "top10.csv", "partition.csv",
+            "communities.csv", "top_members.csv", "induced.json", "induced.graphml",
+            "induced.dot", "degree_dist.csv", "powerlaw_fit.csv", "powerlaw.json",
+            "summary.json"}
+        if input_format == "articles":
+            expected.add("ingest_stats.json")
+        else:
+            edges = tmp_path / "edges.csv"
+            edges.write_text("source,target\n" + "".join(
+                f"{a},{b}\n" for article in CLIQUE_ARTICLES
+                for a, b in itertools.combinations(article["persons"], 2)), encoding="utf-8")
+            cfg = dataclasses.replace(cfg, input=str(edges), input_format="edges")
+        if affiliations:
+            expected |= {"profiles.csv", "typology.csv", "community_types.csv"}
+        bundle = run_pipeline(cfg)
+        assert set(bundle.files) == expected
         written = {p.name for p in (tmp_path / "out").iterdir()}
-        assert written == set(bundle.files) | {F_MANIFEST}
+        assert written == set(bundle.files) | {"manifest.json"}
 
     def test_data_error_leaves_no_partial_output(self, tmp_path):
         with pytest.raises(DataError, match="min_size"):
@@ -213,8 +218,8 @@ class TestRunPipeline:
         bundle = run_pipeline(
             clique_config(tmp_path, with_affiliations=False)
         )
-        assert F_TYPOLOGY not in bundle.files
-        assert F_PROFILES not in bundle.files
+        assert "typology.csv" not in bundle.files
+        assert "profiles.csv" not in bundle.files
         assert any(stage == "typology" for stage, _ in bundle.skipped)
 
     def test_edges_input_skips_ingest_stats(self, tmp_path):
@@ -230,7 +235,7 @@ class TestRunPipeline:
             min_community_size=1,
         )
         bundle = run_pipeline(cfg)
-        assert F_INGEST not in bundle.files
+        assert "ingest_stats.json" not in bundle.files
         assert bundle.summary["nodes"] == 4
 
     def test_manifest_identical_across_runs_and_threads(self, tmp_path):
@@ -238,8 +243,8 @@ class TestRunPipeline:
         cfg2 = clique_config(tmp_path, out_name="out2", threads=2)
         run_pipeline(cfg1)
         run_pipeline(cfg2)
-        m1 = (tmp_path / "out1" / F_MANIFEST).read_bytes()
-        m2 = (tmp_path / "out2" / F_MANIFEST).read_bytes()
+        m1 = (tmp_path / "out1" / "manifest.json").read_bytes()
+        m2 = (tmp_path / "out2" / "manifest.json").read_bytes()
         assert m1 == m2
 
     def test_induced_means_are_communities_column_b(self, tmp_path):
@@ -250,9 +255,9 @@ class TestRunPipeline:
             min_community_size=5, include_other=True))
         assert bundle.summary["retained_count"] > 3
         out = tmp_path / "out"
-        with open(out / F_COMMUNITIES, newline="", encoding="utf-8") as fh:
+        with open(out / "communities.csv", newline="", encoding="utf-8") as fh:
             column_b = {row["label"]: float(row["B"]) for row in csv.DictReader(fh)}
-        induced = json.loads((out / F_INDUCED_JSON).read_text(encoding="utf-8"))
+        induced = json.loads((out / "induced.json").read_text(encoding="utf-8"))
         means = {c["label"]: c["mean_betweenness"] for c in induced["communities"]
                  if c["community"] >= 0}
         assert means == column_b
@@ -292,10 +297,10 @@ class TestRoundOffProofRanking:
         g, bundle, run = self.near_tie(tmp_path)
         write_centrality_files(run)
         out = tmp_path / "out"
-        with open(out / F_CENTRALITY, newline="", encoding="utf-8") as fh:
+        with open(out / "centrality.csv", newline="", encoding="utf-8") as fh:
             names = [row["name"] for row in csv.DictReader(fh)]
         assert names == ["Amy", "Zed", "Bob"]
-        with open(out / F_TOP10, newline="", encoding="utf-8") as fh:
+        with open(out / "top10.csv", newline="", encoding="utf-8") as fh:
             column = [row["betweenness"].rstrip("†") for row in csv.DictReader(fh)]
         assert column[:2] == ["Amy", "Zed"]
         assert top_k(g, bundle, "betweenness", k=2) == ["Amy", "Zed"]
@@ -311,7 +316,7 @@ class TestRoundOffProofRanking:
             run.retained = [0]
             write_induced_files(run)
             means.add(run.induced.mean_betweenness[0])
-            written.add((tmp_path / str(i) / "out" / F_INDUCED_JSON).read_bytes())
+            written.add((tmp_path / str(i) / "out" / "induced.json").read_bytes())
         assert len(means) == 2
         assert len(written) == 1
 
@@ -555,7 +560,7 @@ class TestAudit:
     def test_tampered_file_detected(self, tmp_path):
         run_pipeline(clique_config(tmp_path))
         out = tmp_path / "out"
-        with open(out / F_EDGES, "a", encoding="utf-8") as fh:
+        with open(out / "edges.csv", "a", encoding="utf-8") as fh:
             fh.write("Z1,Z2\n")
         checks = audit(out)
         assert any(not c.ok for c in checks)
@@ -564,3 +569,45 @@ class TestAudit:
         checks = audit(tmp_path)
         assert len(checks) == 1
         assert not checks[0].ok
+
+    def test_extra_partition_column_fails(self, tmp_path):
+        """partition.csv is re-rendered, so a column the run never wrote fails
+        the partition check even when the manifest carries the new digest."""
+        run_pipeline(clique_config(tmp_path))
+        out = tmp_path / "out"
+        path = out / "partition.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(line + ",x\n" for line in lines), encoding="utf-8")
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        manifest["files"]["partition.csv"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        failed = [(c.name, c.detail) for c in audit(out) if not c.ok]
+        assert failed == [("partition", f"rows {', '.join(map(str, range(11)))} differ")]
+
+
+class TestRunFiles:
+    """report.RUN_FILES: each file a run writes, with its writer and audit check."""
+
+    # files whose content no audit check re-derives: their digest protects
+    # them, and induced.json also has its conservation total checked
+    GAPS = {"ingest_stats.json", "induced.graphml", "induced.dot", "induced.json",
+            "profiles.csv", "typology.csv", "community_types.csv"}
+
+    def test_every_file_has_a_check_or_is_a_named_gap(self, tmp_path):
+        run_pipeline(clique_config(tmp_path))
+        checks = audit(tmp_path / "out")
+        assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+        assert len(checks) == 22
+        emitted = {c.name for c in checks}
+        for entry in RUN_FILES:
+            if entry.name == "summary.json":  # checked field by field
+                covered = set(SUMMARY_FIELDS) <= emitted
+            else:
+                covered = entry.check in emitted
+            assert covered != (entry.name in self.GAPS), entry.name
+
+    def test_names_and_checks_are_unique(self):
+        names = [entry.name for entry in RUN_FILES]
+        checks = [entry.check for entry in RUN_FILES if entry.check is not None]
+        assert len(set(names)) == len(names) == 18
+        assert len(set(checks)) == len(checks)
