@@ -18,11 +18,10 @@ from .centrality import (CentralityBundle, TopTable, betweenness_centrality,
                          top_table)
 from .community import (CommunitySummary, InducedGraph, OTHER,
                         community_summary, filter_communities, induced_graph,
-                        label_communities, louvain, modularity, top_members)
+                        louvain, modularity, top_members)
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog, fit_mle
-from .typology import (CATEGORIES, CommunityProfile, KMeansResult,
-                       TypeAssignment, TypeTable, assign_types, build_profiles,
-                       kmeans, load_affiliations, type_table)
+from .typology import (CATEGORIES, CommunityProfile, KMeansResult, TypeTable,
+                       build_profiles, kmeans, load_affiliations, type_table)
 from .report import (AuditCheck, PipelineConfig, PipelineRun, ReportBundle,
                      audit, emit_plot_data, export_dot, export_graphml,
                      export_induced_graphml, read_graphml, run_pipeline)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .centrality import CentralityBundle, as_written, rank
+from .centrality import CentralityBundle, as_written
 from .errors import ConvergenceError, DataError
 from .graph import Graph, Partition, relabel_by_size
 
@@ -149,10 +149,13 @@ def filter_communities(p: Partition, min_size: int = 100) -> list[int]:
     return kept
 
 
-def label_communities(g: Graph, p: Partition, bundle: CentralityBundle) -> dict[int, str]:
-    """Name each community after its highest-betweenness member (ties: name ascending)."""
-    return {c: g.names[rank(g, bundle.written("betweenness"), p.members(c))[0]]
-            for c in range(p.count)}
+def _community_ids(p: Partition, communities) -> list[int]:
+    """The given community ids as ints, each checked to be one of ``p``'s."""
+    ids = [int(c) for c in communities]
+    for c in ids:
+        if not 0 <= c < p.count:
+            raise DataError(f"unknown community id {c}")
+    return ids
 
 
 def _means(labels: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -175,28 +178,25 @@ class CommunitySummary:
 
 
 def community_summary(g: Graph, p: Partition, bundle: CentralityBundle,
-                      communities: Sequence[int]) -> list[CommunitySummary]:
-    """Mean member scores per community, by mean betweenness :func:`as_written`
-    descending, then community id.
+                      labels: Mapping[int, str]) -> list[CommunitySummary]:
+    """Mean member scores of each community ``labels`` names, by mean
+    betweenness :func:`as_written` descending, then community id.
 
     Internal density is intra-community edges over C(size, 2); a singleton
     community scores 0.
     """
-    labels = label_communities(g, p, bundle)
+    ids = _community_ids(p, labels)
     sizes = np.asarray(p.sizes, dtype=np.float64)
     mean_b, mean_c, mean_e, mean_cc = (_means(p.labels, x, sizes) for x in (
         bundle.betweenness, bundle.closeness, bundle.eigenvector, bundle.clustering))
     intra = intra_edges(g, p)
 
     out = []
-    for c in communities:
-        c = int(c)
-        if not 0 <= c < p.count:
-            raise DataError(f"unknown community id {c}")
+    for c, label in zip(ids, labels.values()):
         s = p.sizes[c]
         d = float(intra[c]) / (s * (s - 1) / 2.0) if s > 1 else 0.0
         out.append(CommunitySummary(
-            community=c, label=labels[c], mean_betweenness=float(mean_b[c]), size=s,
+            community=c, label=label, mean_betweenness=float(mean_b[c]), size=s,
             mean_closeness=float(mean_c[c]), mean_eigenvector=float(mean_e[c]),
             mean_clustering=float(mean_cc[c]), internal_density=d))
     out.sort(key=lambda r: (-as_written(r.mean_betweenness), r.community))
@@ -222,23 +222,19 @@ class InducedGraph:
     dropped_edges: int
 
 
-def induced_graph(g: Graph, p: Partition, retained: Sequence[int],
+def induced_graph(g: Graph, p: Partition, labels: Mapping[int, str],
                   bundle: CentralityBundle, include_other: bool = False) -> InducedGraph:
     """Collapse the partition into a weighted community network.
 
-    One Louvain aggregation step over slots: each retained community is a
-    slot, and all other nodes share a rest slot, kept as ``OTHER`` when
+    The retained communities are the keys of ``labels``, in its order.  One
+    Louvain aggregation step over slots: each retained community is a slot,
+    and all other nodes share a rest slot, kept as ``OTHER`` when
     ``include_other`` and otherwise dropped with its edges.  Every edge counts
     once: as a kept slot's intra weight, as an induced edge's weight (edges in
     retained order, ``OTHER`` last), or as dropped.  Unit weights keep every
     sum exact; an empty rest slot's size is taken as 1 to avoid 0/0.
     """
-    retained = [int(c) for c in retained]
-    if len(set(retained)) != len(retained):
-        raise DataError("retained community ids must be unique")
-    for c in retained:
-        if not 0 <= c < p.count:
-            raise DataError(f"unknown community id {c}")
+    retained = _community_ids(p, labels)
     rest = len(retained)
     fold = np.full(p.count, rest, dtype=np.int64)
     fold[retained] = np.arange(rest)
@@ -253,10 +249,9 @@ def induced_graph(g: Graph, p: Partition, retained: Sequence[int],
         tails[inter].tolist(), heads[inter].tolist(), weights[inter].tolist()))
     intra = [int(w) for w in loops[:len(ids)]]
     means = _means(slot, bundle.betweenness, np.maximum(sizes, 1))
-    named = label_communities(g, p, bundle)
     return InducedGraph(
         community_ids=tuple(ids),
-        labels={c: "other" if c == OTHER else named[c] for c in ids},
+        labels={c: "other" if c == OTHER else labels[c] for c in ids},
         sizes={c: int(sizes[i]) for i, c in enumerate(ids)},
         mean_betweenness={c: float(means[i]) for i, c in enumerate(ids)},
         intra_weights=dict(zip(ids, intra)), edges=edges,
@@ -265,13 +260,14 @@ def induced_graph(g: Graph, p: Partition, retained: Sequence[int],
 
 def top_members(g: Graph, p: Partition, bundle: CentralityBundle,
                 communities: Sequence[int], k: int = 5) -> dict[int, list[str]]:
-    """Top-k members per community by betweenness, ties broken by name ascending."""
+    """Top-k members per community by betweenness :func:`as_written`
+    descending, ties broken by name ascending; the first names the community.
+
+    One sort ranks every node within its community.
+    """
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
-    out: dict[int, list[str]] = {}
-    for c in communities:
-        c = int(c)
-        if not 0 <= c < p.count:
-            raise DataError(f"unknown community id {c}")
-        out[c] = [g.names[v] for v in rank(g, bundle.written("betweenness"), p.members(c))[:k]]
-    return out
+    ids = _community_ids(p, communities)
+    order = np.lexsort((g.name_order, -bundle.written("betweenness"), p.labels))
+    ranked = np.split(order, np.cumsum(p.sizes)[:-1])
+    return {c: [g.names[v] for v in ranked[c][:k].tolist()] for c in ids}

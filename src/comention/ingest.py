@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import logging
 import re
@@ -191,29 +190,6 @@ def open_text(path, newline=None):
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-
-
-@contextmanager
-def collector_paused():
-    """Run the block with Python's cyclic garbage collector paused.
-
-    Ingest builds no reference cycle, but with the collector on, each burst of
-    allocations rescans every record kept so far.  On the way out the
-    collector is restored as it was; if it was on, ``freeze`` + ``unfreeze``
-    first moves every tracked object to the oldest generation without a scan
-    (unless some other code keeps objects frozen), so the young-generation
-    collection that would follow does not scan all that was built once more.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            if not gc.get_freeze_count():
-                gc.freeze()
-                gc.unfreeze()
-            gc.enable()
 
 
 def load_articles(path, aliases: Mapping[str, str] | None = None) -> Articles:

@@ -25,11 +25,10 @@ from .errors import DataError
 from .graph import (Graph, Partition, build_graph, clique_graph, connected_components,
                     csr_graph, density, diameter as graph_diameter, read_edge_pairs,
                     write_edge_csv)
-from .ingest import Articles, collector_paused, ingest_stats, load_aliases, load_articles
+from .ingest import Articles, ingest_stats, load_aliases, load_articles
 from .community import InducedGraph
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog
-from .typology import (CATEGORIES, assign_types, build_profiles, kmeans,
-                       load_affiliations, type_table)
+from .typology import CATEGORIES, build_profiles, kmeans, load_affiliations, type_table
 
 logger = logging.getLogger(__name__)
 
@@ -160,15 +159,14 @@ class ReportBundle:
 
 def load_input_graph(config: PipelineConfig):
     """Read articles or an edge list per config; returns (graph, articles or None)."""
-    with collector_paused():
-        aliases = load_aliases(config.aliases) if config.aliases else {}
-        if config.input_format == "articles":
-            articles = load_articles(config.input, aliases)
-            return clique_graph(articles.names, articles.keys, articles.sizes), articles
-        pairs = read_edge_pairs(config.input)
-        if aliases:
-            pairs = [(aliases.get(a, a), aliases.get(b, b)) for a, b in pairs]
-        return build_graph(pairs), None
+    aliases = load_aliases(config.aliases) if config.aliases else {}
+    if config.input_format == "articles":
+        articles = load_articles(config.input, aliases)
+        return clique_graph(articles.names, articles.keys, articles.sizes), articles
+    pairs = read_edge_pairs(config.input)
+    if aliases:
+        pairs = [(aliases.get(a, a), aliases.get(b, b)) for a, b in pairs]
+    return build_graph(pairs), None
 
 
 # ---------------------------------------------------------------- exports
@@ -392,22 +390,23 @@ class PipelineRun:
         return community_mod.filter_communities(self.partition, self.config.min_community_size)
 
     @cached_property
-    def summaries(self):
-        return community_mod.community_summary(self.graph, self.partition, self.bundle,
-                                               self.retained)
-
-    @cached_property
-    def labels(self) -> dict[int, str]:
-        return {s.community: s.label for s in self.summaries}
-
-    @cached_property
     def members(self) -> dict[int, list[str]]:
         return community_mod.top_members(self.graph, self.partition, self.bundle,
                                          self.retained, k=self.config.top_k_members)
 
     @cached_property
+    def labels(self) -> dict[int, str]:
+        """Each retained community's top member, in retained order."""
+        return {c: names[0] for c, names in self.members.items()}
+
+    @cached_property
+    def summaries(self):
+        return community_mod.community_summary(self.graph, self.partition, self.bundle,
+                                               self.labels)
+
+    @cached_property
     def induced(self) -> InducedGraph:
-        return community_mod.induced_graph(self.graph, self.partition, self.retained,
+        return community_mod.induced_graph(self.graph, self.partition, self.labels,
                                            self.bundle, include_other=self.config.include_other)
 
     @cached_property
@@ -423,7 +422,7 @@ class PipelineRun:
 
     @cached_property
     def typology(self) -> tuple | None:
-        """(profiles, type assignment, type table) over the retained communities."""
+        """(profiles, type table) over the retained communities."""
         if not self.config.affiliations:
             return self._skip("typology", "no affiliation table configured")
         profiles = build_profiles(self.members, load_affiliations(self.config.affiliations))
@@ -432,8 +431,7 @@ class PipelineRun:
                             self.config.seed, restarts=self.config.restarts)
         except DataError as exc:
             return self._skip("typology", exc)
-        assignment = assign_types(profiles, result)
-        return profiles, assignment, type_table(assignment, profiles)
+        return profiles, type_table(profiles, result)
 
     @cached_property
     def degree_closeness_correlation(self) -> float | None:
@@ -588,18 +586,16 @@ def write_powerlaw_files(run: PipelineRun) -> None:
 
 
 def write_typology_files(run: PipelineRun) -> None:
-    profiles, assignment, types = run.require("typology")
+    profiles, types = run.require("typology")
     write_csv(run.out / "profiles.csv", ["community", *CATEGORIES, "unlabeled"],
               ([p.community, *p.counts.tolist(), p.unlabeled] for p in profiles))
-    headers = ["category"] + [f"T{i + 1}" for i in range(len(types.type_ids))]
+    headers = ["category"] + [f"T{i + 1}" for i in range(len(types.type_names))]
     rows = [[cat, *types.matrix[i].tolist()] for i, cat in enumerate(types.categories)]
     rows.append(["communities", *types.communities_per_type])
     write_csv(run.out / "typology.csv", headers, rows)
-    display = {raw: i + 1 for i, raw in enumerate(types.type_ids)}
     write_csv(run.out / "community_types.csv", ["community", "label", "type", "type_name"],
-              ([c, run.labels[c], display[assignment.types[c]],
-                types.type_names[display[assignment.types[c]] - 1]]
-               for c in sorted(assignment.types)))
+              ([c, run.labels[c], t, types.type_names[t - 1]]
+               for c, t in sorted(types.types.items())))
 
 
 def write_summary_file(run: PipelineRun) -> None:

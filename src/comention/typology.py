@@ -179,58 +179,42 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300, restarts: int = 1) ->
 
 
 @dataclass(frozen=True, eq=False)
-class TypeAssignment:
-    """Community-to-type map (types run 1..k) plus the raw centroids."""
-
-    types: dict[int, int]
-    centroids: np.ndarray
-    k: int
-
-
-def assign_types(profiles: Sequence[CommunityProfile], result: KMeansResult) -> TypeAssignment:
-    """Pair each profiled community with its 1-based cluster index."""
-    if len(profiles) != result.labels.size:
-        raise DataError(f"{len(profiles)} profiles vs {result.labels.size} labels")
-    types = {p.community: int(result.labels[i]) + 1 for i, p in enumerate(profiles)}
-    return TypeAssignment(types=types, centroids=result.centroids,
-                          k=result.centroids.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
 class TypeTable:
-    """Category-by-type count matrix in display order.
+    """Category-by-type count matrix in display order, and each community's type.
 
-    Columns are sorted by their largest category count descending, so the
-    first column is the most pronounced type; each type is named after its
-    dominant category.  The per-type community counts form the bottom row.
+    Types are numbered 1..k in display order: largest category count
+    descending, then community count descending, then dominant category, then
+    k-means cluster index, so T1 is the most pronounced type.  Each type is
+    named after its dominant category, and the per-type community counts form
+    the bottom row.
     """
 
     categories: tuple[str, ...]
-    type_ids: tuple[int, ...]
     type_names: tuple[str, ...]
     matrix: np.ndarray
     communities_per_type: tuple[int, ...]
+    types: dict[int, int]
 
 
-def type_table(assignment: TypeAssignment, profiles: Sequence[CommunityProfile]) -> TypeTable:
-    """Sum member-category counts into one column per type."""
-    k = assignment.k
+def type_table(profiles: Sequence[CommunityProfile], result: KMeansResult) -> TypeTable:
+    """Sum each k-means cluster's member-category counts into one column."""
+    if len(profiles) != result.labels.size:
+        raise DataError(f"{len(profiles)} profiles vs {result.labels.size} labels")
+    k = result.centroids.shape[0]
+    clusters = result.labels.tolist()
     matrix = np.zeros((len(CATEGORIES), k), dtype=np.int64)
-    members = np.zeros(k, dtype=np.int64)
-    for profile in profiles:
-        t = assignment.types.get(profile.community)
-        if t is None:
-            raise DataError(f"community {profile.community} has no type assignment")
-        matrix[:, t - 1] += profile.counts
-        members[t - 1] += 1
+    for profile, t in zip(profiles, clusters):
+        matrix[:, t] += profile.counts
+    members = np.bincount(clusters, minlength=k)
 
     dominant = matrix.argmax(axis=0)  # ties pick the earlier category
     peak = matrix.max(axis=0)
     order = sorted(range(k), key=lambda t: (-peak[t], -members[t], dominant[t], t))
+    display = {t: i + 1 for i, t in enumerate(order)}
     return TypeTable(
         categories=CATEGORIES,
-        type_ids=tuple(t + 1 for t in order),
         type_names=tuple(CATEGORIES[dominant[t]] for t in order),
         matrix=matrix[:, order],
         communities_per_type=tuple(int(members[t]) for t in order),
+        types={p.community: display[t] for p, t in zip(profiles, clusters)},
     )

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from comention import DataError, Graph, InducedGraph, build_graph
+from comention import DataError, Graph, InducedGraph, build_graph, top_members
 from comention.report import GRAPHML_NS, fmt
 
 INF = 1 << 20
@@ -51,6 +51,12 @@ def build_graph_oracle(edges):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return tuple(index), indptr, dst[order].astype(np.int32)
+
+
+def labeled(g, p, bundle, communities):
+    """The given communities, in order, each labelled by its top member, as a
+    run labels the communities it retains."""
+    return {c: names[0] for c, names in top_members(g, p, bundle, communities, k=1).items()}
 
 
 def id_pairs(g):

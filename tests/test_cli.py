@@ -12,11 +12,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from comention import DataError, PipelineConfig, community, typology
-from comention import _sweep, centrality, graph, report
+from comention import _sweep, centrality, graph, report, synth
 from comention.cli import build_parser, main
 
 ARTICLES = "\n".join(
@@ -1068,6 +1069,59 @@ class TestStageParity:
         for stage in self.STAGES:
             if stage != "ingest":
                 assert set(written[stage]) == self.WRITES[stage], stage
+
+
+class TestCrossFile:
+    """The files of one clean run with typology agree with each other."""
+
+    @pytest.fixture(scope="class")
+    def typed(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("typed")
+        records = synth.generate_corpus(120, 200, 3)
+        synth.write_articles_jsonl(records, root / "articles.jsonl")
+        names = sorted({p for r in records for p in r.persons})
+        picks = np.random.default_rng(3).integers(len(typology.CATEGORIES), size=len(names))
+        (root / "affiliations.csv").write_text("name,category\n" + "".join(
+            f"{n},{typology.CATEGORIES[c]}\n" for n, c in zip(names, picks.tolist())),
+            encoding="utf-8")
+        assert run_cli("run", "--input", root / "articles.jsonl", "--affiliations",
+                       root / "affiliations.csv", "--seed", "5", "--min-community-size", "14",
+                       "--k", "3", "--include-other", "--out-dir", root / "out") == 0
+        return root / "out"
+
+    @staticmethod
+    def rows(out, name):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_every_label_is_the_rank_one_member(self, typed):
+        top = {row["community"]: row["name"] for row in self.rows(typed, "top_members.csv")
+               if row["rank"] == "1"}
+        assert all(row["label"] == top[row["community"]]
+                   for row in self.rows(typed, "top_members.csv"))
+        assert sorted(row["label"] for row in self.rows(typed, "communities.csv")) == \
+            sorted(top.values())
+        types = self.rows(typed, "community_types.csv")
+        assert {row["community"]: row["label"] for row in types} == top
+        induced = json.loads((typed / "induced.json").read_text(encoding="utf-8"))
+        named = {str(c["community"]): c["label"] for c in induced["communities"]}
+        assert named.pop(str(community.OTHER)) == "other"  # some community is not retained
+        assert named == top and len(top) >= 4
+
+    def test_each_type_column_sums_its_profiles(self, typed):
+        profiles = {row.pop("community"): row for row in self.rows(typed, "profiles.csv")}
+        types = {row["community"]: row["type"] for row in self.rows(typed, "community_types.csv")}
+        table = self.rows(typed, "typology.csv")
+        columns = [f"T{t}" for t in range(1, 4)]
+        assert list(table[0]) == ["category", *columns]
+        for column in columns:
+            kept = [c for c, t in types.items() if f"T{t}" == column]
+            assert kept, column  # every type holds a community
+            for row in table:
+                want = (len(kept) if row["category"] == "communities"
+                        else sum(int(profiles[c][row["category"]]) for c in kept))
+                assert int(row[column]) == want, (column, row["category"])
+        assert [row["category"] for row in table] == [*typology.CATEGORIES, "communities"]
 
 
 class TestEdgesInput:

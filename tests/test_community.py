@@ -9,8 +9,10 @@ import pytest
 from conftest import (
     graph_from,
     id_pairs,
+    labeled,
     modularity_oracle,
     nmi_oracle,
+    random_connected_pairs,
     random_pairs,
     set_partitions,
 )
@@ -23,11 +25,11 @@ from comention import (
     compute_bundle,
     filter_communities,
     induced_graph,
-    label_communities,
     louvain,
     modularity,
     top_members,
 )
+from comention.centrality import as_written
 from comention.community import _one_level
 from comention.synth import benchmark_graph, generate_corpus, planted_partition
 
@@ -283,16 +285,20 @@ class TestFilterCommunities:
 
 
 class TestLabelCommunities:
+    """A community's label is its first top member."""
+
+    @staticmethod
+    def labels(g, p, bundle):
+        return labeled(g, p, bundle, range(p.count))
+
     def test_strict_maximum(self):
         g = build_graph([("A", "B"), ("B", "C"), ("C", "D")])
         bundle = compute_bundle(g)
         p = Partition.from_labels([0] * 4)
-        labels = label_communities(g, p, bundle)
+        labels = self.labels(g, p, bundle)
         # B and C tie on betweenness for the path; check a strict case
         g2 = build_graph([("A", "B"), ("B", "C")])
-        labels2 = label_communities(
-            g2, Partition.from_labels([0] * 3), compute_bundle(g2)
-        )
+        labels2 = self.labels(g2, Partition.from_labels([0] * 3), compute_bundle(g2))
         assert labels2[0] == "B"
         assert set(labels.values()) == {"B"}  # B beats C by name on the tie
 
@@ -301,9 +307,7 @@ class TestLabelCommunities:
             [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")]
         )
         bundle = compute_bundle(g)
-        labels = label_communities(
-            g, Partition.from_labels([0] * 4), bundle
-        )
+        labels = self.labels(g, Partition.from_labels([0] * 4), bundle)
         assert labels[0] == "A"
 
     def test_matches_argmax_oracle(self):
@@ -312,7 +316,7 @@ class TestLabelCommunities:
             g = graph_from(random_pairs(rng, p=0.4))
             bundle = compute_bundle(g)
             p = louvain(g, seed=7)
-            labels = label_communities(g, p, bundle)
+            labels = self.labels(g, p, bundle)
             for c in range(p.count):
                 members = p.members(c)
                 want = min(
@@ -328,7 +332,7 @@ class TestCommunitySummary:
         bundle = compute_bundle(g)
         labels = [0 if n.startswith("L") else 1 for n in g.names]
         p = Partition.from_labels(labels)
-        rows = community_summary(g, p, bundle, [0, 1])
+        rows = community_summary(g, p, bundle, labeled(g, p, bundle, [0, 1]))
         for row in rows:
             assert row.mean_clustering == pytest.approx(1.0, abs=0.11)
             assert row.internal_density == 1.0
@@ -340,7 +344,7 @@ class TestCommunitySummary:
         )
         bundle = compute_bundle(g)
         p = Partition.from_labels([0] * 5)
-        row = community_summary(g, p, bundle, [0])[0]
+        row = community_summary(g, p, bundle, labeled(g, p, bundle, [0]))[0]
         assert row.mean_clustering == 1.0
         assert row.internal_density == 1.0
 
@@ -348,7 +352,7 @@ class TestCommunitySummary:
         g = build_graph([("A", "B"), ("B", "C")])
         bundle = compute_bundle(g)
         p = Partition.from_labels([0, 0, 1])
-        rows = community_summary(g, p, bundle, [0, 1])
+        rows = community_summary(g, p, bundle, labeled(g, p, bundle, [0, 1]))
         singleton = [r for r in rows if r.size == 1][0]
         assert singleton.internal_density == 0.0
 
@@ -359,7 +363,7 @@ class TestCommunitySummary:
             bundle = compute_bundle(g)
             p = louvain(g, seed=13)
             retained = filter_communities(p, min_size=1)
-            rows = community_summary(g, p, bundle, retained)
+            rows = community_summary(g, p, bundle, labeled(g, p, bundle, retained))
             assert len(rows) == len(retained)
             by_id = {r.community: r for r in rows}
             for c in retained:
@@ -392,7 +396,7 @@ class TestCommunitySummary:
         bundle = compute_bundle(g)
         p = louvain(g, seed=17)
         rows = community_summary(
-            g, p, bundle, filter_communities(p, min_size=1)
+            g, p, bundle, labeled(g, p, bundle, filter_communities(p, min_size=1))
         )
         scores = [r.mean_betweenness for r in rows]
         assert scores == sorted(scores, reverse=True)
@@ -403,7 +407,7 @@ class TestCommunitySummary:
         betweenness = np.array([0.3, 0.3, 0.3, 0.3 * (1.0 + 1e-15)])
         bundle = dataclasses.replace(compute_bundle(g), betweenness=betweenness)
         p = Partition.from_labels([0, 0, 1, 1])
-        rows = community_summary(g, p, bundle, [0, 1])
+        rows = community_summary(g, p, bundle, labeled(g, p, bundle, [0, 1]))
         assert rows[1].mean_betweenness > rows[0].mean_betweenness
         assert [r.community for r in rows] == [0, 1]
 
@@ -413,7 +417,8 @@ class TestInducedGraph:
         g = two_cliques(5, bridges=3)
         labels = [0 if n.startswith("L") else 1 for n in g.names]
         p = Partition.from_labels(labels)
-        ind = induced_graph(g, p, [0, 1], compute_bundle(g))
+        bundle = compute_bundle(g)
+        ind = induced_graph(g, p, labeled(g, p, bundle, [0, 1]), bundle)
         assert ind.edges == ((0, 1, 3),)
         assert ind.intra_weights == {0: 10, 1: 10}
         assert ind.dropped_edges == 0
@@ -421,7 +426,8 @@ class TestInducedGraph:
     def test_no_cross_edges(self):
         g = build_graph([("A", "B"), ("X", "Y")])
         p = Partition.from_labels([0, 0, 1, 1])
-        ind = induced_graph(g, p, [0, 1], compute_bundle(g))
+        bundle = compute_bundle(g)
+        ind = induced_graph(g, p, labeled(g, p, bundle, [0, 1]), bundle)
         assert ind.edges == ()
 
     def test_weights_match_pairwise_oracle_and_conservation(self):
@@ -437,7 +443,8 @@ class TestInducedGraph:
             # the largest community alone leaves a rest whenever there are two
             for kept, include_other in itertools.product((retained, retained[:1]),
                                                          (False, True)):
-                ind = induced_graph(g, p, kept, bundle, include_other=include_other)
+                ind = induced_graph(g, p, labeled(g, p, bundle, kept), bundle,
+                                    include_other=include_other)
                 keep = set(kept)
                 slot = [int(c) if int(c) in keep else OTHER for c in p.labels]
                 if include_other and OTHER in slot:
@@ -481,7 +488,8 @@ class TestInducedGraph:
         p = Partition.from_labels(
             [0, 0, 0, 1, 1][: g.node_count]
         )
-        ind = induced_graph(g, p, [0], compute_bundle(g), include_other=True)
+        bundle = compute_bundle(g)
+        ind = induced_graph(g, p, labeled(g, p, bundle, [0]), bundle, include_other=True)
         assert OTHER in ind.sizes
         got = {frozenset((u, v)): w for u, v, w in ind.edges}
         assert got == {frozenset((0, OTHER)): 1}
@@ -498,7 +506,9 @@ class TestInducedGraph:
         rng = np.random.default_rng(191)
         g = graph_from(random_pairs(rng, p=0.5))
         p = louvain(g, seed=23)
-        ind = induced_graph(g, p, filter_communities(p, min_size=1), compute_bundle(g))
+        bundle = compute_bundle(g)
+        ind = induced_graph(g, p, labeled(g, p, bundle, filter_communities(p, min_size=1)),
+                            bundle)
         assert all(u != v for u, v, _ in ind.edges)
 
 
@@ -542,3 +552,44 @@ class TestTopMembers:
         p = Partition.from_labels([0, 0])
         with pytest.raises(DataError):
             top_members(g, p, bundle, [0], k=0)
+
+    def test_written_ties_across_communities_match_per_community_sort(self):
+        """In each community two members tie in every written digit while the
+        later name holds the larger raw score; the one sort over all nodes
+        ranks each community as its own sort by (written score, name) does."""
+        rng = np.random.default_rng(197)
+        n, count = 40, 5
+        g = graph_from(random_connected_pairs(rng, n, extra=30))
+        labels = rng.permutation(np.arange(n) % count)  # interleaved ids
+        p = Partition.from_labels(labels)
+        betweenness = rng.random(n).round(3)
+        for c in range(count):
+            first, second = sorted(p.members(c)[:2], key=lambda v: g.names[v])
+            tie = float(rng.random()) + 1.0
+            betweenness[first] = tie
+            betweenness[second] = tie * (1.0 + 4e-16 * (c + 1))  # a few ulps above
+            assert betweenness[second] > betweenness[first]
+            assert as_written(betweenness[second]) == as_written(betweenness[first])
+        bundle = dataclasses.replace(compute_bundle(g), betweenness=betweenness)
+        got = top_members(g, p, bundle, range(count), k=n)
+        for c in range(count):
+            want = sorted((g.names[v] for v in p.members(c)),
+                          key=lambda name: (-as_written(betweenness[g.names.index(name)]),
+                                            name))
+            assert got[c] == want
+            raw = sorted((g.names[v] for v in p.members(c)),
+                         key=lambda name: (-betweenness[g.names.index(name)], name))
+            assert raw[:2] == want[:2][::-1]  # raw scores alone would swap the pair
+
+
+class TestCommunityIds:
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_unknown_id_rejected_by_every_table(self, bad):
+        g = build_graph([("A", "B"), ("B", "C")])
+        bundle = compute_bundle(g)
+        p = Partition.from_labels([0, 0, 1])
+        for call in (lambda: top_members(g, p, bundle, [0, bad]),
+                     lambda: community_summary(g, p, bundle, {0: "A", bad: "C"}),
+                     lambda: induced_graph(g, p, {0: "A", bad: "C"}, bundle)):
+            with pytest.raises(DataError, match=f"unknown community id {bad}"):
+                call()

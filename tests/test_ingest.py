@@ -1,4 +1,3 @@
-import gc
 import itertools
 import json
 import tracemalloc
@@ -21,7 +20,6 @@ from comention import (
 )
 from comention.graph import csr_graph, density, read_edge_pairs
 from comention.ingest import read_name_pairs
-from comention.report import PipelineConfig, load_input_graph
 from comention.typology import load_affiliations
 
 
@@ -436,48 +434,6 @@ class TestIngestStats:
     def test_density_echoes_graph(self):
         articles, _ = parsed_graph([line("A", "B")])
         assert ingest_stats(articles, build_graph([("A", "B")]))["density"] == 1.0
-
-
-class TestLoadInputGraph:
-    """``load_input_graph`` pauses the cyclic collector and leaves it as found."""
-
-    @pytest.fixture
-    def restore_gc(self):
-        enabled = gc.isenabled()
-        yield
-        (gc.enable if enabled else gc.disable)()
-
-    @staticmethod
-    def config(tmp_path, lines):
-        path = tmp_path / "articles.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return PipelineConfig(input=str(path), seed=1, out_dir=str(tmp_path / "out"))
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_gc_state_kept_on_success(self, tmp_path, restore_gc, enabled):
-        (gc.enable if enabled else gc.disable)()
-        g, records = load_input_graph(self.config(tmp_path, [
-            '{"id":"a1","persons":["A","B","C"]}', '{"id":"a2","persons":["C","D"]}']))
-        assert gc.isenabled() is enabled
-        assert (g.node_count, g.edge_count, len(records)) == (4, 4, 2)
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_gc_state_kept_on_data_error(self, tmp_path, restore_gc, enabled):
-        (gc.enable if enabled else gc.disable)()
-        with pytest.raises(DataError, match="line 2"):
-            load_input_graph(self.config(tmp_path, [
-                '{"id":"a1","persons":["A","B"]}', '{"id":"a2","persons":["A",["B"]]}']))
-        assert gc.isenabled() is enabled
-
-    def test_objects_frozen_elsewhere_stay_frozen(self, tmp_path, restore_gc):
-        gc.enable()
-        gc.freeze()
-        try:
-            frozen = gc.get_freeze_count()
-            load_input_graph(self.config(tmp_path, ['{"id":"a1","persons":["A","B"]}']))
-            assert gc.get_freeze_count() == frozen
-        finally:
-            gc.unfreeze()
 
 
 def reference_parse(lines, aliases):

@@ -8,7 +8,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import graph_from, graphml_oracle, id_pairs, modularity_oracle, random_pairs
+from conftest import (graph_from, graphml_oracle, id_pairs, labeled, modularity_oracle,
+                      random_pairs)
 from comention import (
     CentralityBundle,
     DataError,
@@ -380,7 +381,7 @@ class TestGraphML:
             [0 if n in "ABC" else 1 for n in g.names]
         )
         bundle = compute_bundle(g)
-        ind = induced_graph(g, p, [0, 1], bundle)
+        ind = induced_graph(g, p, labeled(g, p, bundle, [0, 1]), bundle)
         path = tmp_path / "induced.graphml"
         export_induced_graphml(ind, path)
         text = path.read_text(encoding="utf-8")
@@ -436,7 +437,7 @@ class TestGraphML:
         self.same_as_oracle(g, tmp_path)
         assert read_graphml(tmp_path / "written.graphml").names == g.names
         for include_other in (False, True):
-            ind = induced_graph(g, p, list(range(p.count // 2)), bundle,
+            ind = induced_graph(g, p, labeled(g, p, bundle, range(p.count // 2)), bundle,
                                 include_other=include_other)
             assert ind.edges and (-1 in ind.community_ids) == include_other
             self.same_as_oracle(ind, tmp_path, export_induced_graphml)
@@ -444,7 +445,8 @@ class TestGraphML:
     def test_single_community_induced_matches_element_tree(self, tmp_path):
         g = build_graph([("A", "B"), ("B", "C")])
         p = Partition.from_labels([0, 0, 0])
-        ind = induced_graph(g, p, [0], compute_bundle(g), include_other=True)
+        bundle = compute_bundle(g)
+        ind = induced_graph(g, p, labeled(g, p, bundle, [0]), bundle, include_other=True)
         assert ind.community_ids == (0,) and not ind.edges
         self.same_as_oracle(ind, tmp_path, export_induced_graphml)
 
@@ -454,7 +456,7 @@ class TestDot:
         g = build_graph([("A", "B"), ("B", "C"), ("X", "Y"), ("A", "X")])
         p = Partition.from_labels([0 if n in "ABC" else 1 for n in g.names])
         bundle = compute_bundle(g)
-        ind = induced_graph(g, p, [0, 1], bundle)
+        ind = induced_graph(g, p, labeled(g, p, bundle, [0, 1]), bundle)
         path = tmp_path / "induced.dot"
         export_dot(ind, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -468,7 +470,7 @@ class TestDot:
         g = build_graph([("A", "B"), ("C", "D"), ("A", "C"), ("B", "D")])
         p = Partition.from_labels([0, 0, 1, 1])
         bundle = compute_bundle(g)
-        ind = induced_graph(g, p, [0, 1], bundle)
+        ind = induced_graph(g, p, labeled(g, p, bundle, [0, 1]), bundle)
         path = tmp_path / "induced.dot"
         export_dot(ind, path)
         shades = {
@@ -483,7 +485,7 @@ class TestDot:
         g = build_graph([("A", "B"), ("B", "C"), ("X", "Y"), ("A", "X")])
         p = Partition.from_labels([0 if n in "ABC" else 1 for n in g.names])
         bundle = compute_bundle(g)
-        ind = induced_graph(g, p, [0, 1], bundle)
+        ind = induced_graph(g, p, labeled(g, p, bundle, [0, 1]), bundle)
         p1 = tmp_path / "a.dot"
         p2 = tmp_path / "b.dot"
         export_dot(ind, p1)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from comention import (
     CommunityProfile,
     DataError,
     KMeansResult,
-    assign_types,
     build_profiles,
     kmeans,
     load_affiliations,
@@ -245,14 +246,14 @@ class TestAssignTypes:
             objective=0.0,
             iterations=1,
         )
-        assignment = assign_types(profiles, result)
-        assert sorted(assignment.types) == [0, 1, 2, 3, 4]
-        assert set(assignment.types.values()) == {1, 2}
-        assert assignment.k == 2
+        table = type_table(profiles, result)
+        assert sorted(table.types) == [0, 1, 2, 3, 4]
+        assert set(table.types.values()) == {1, 2}
+        assert len(table.type_names) == 2
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):
-            assign_types(
+            type_table(
                 [profile(0, [0] * 8)],
                 KMeansResult(
                     labels=np.array([0, 1]),
@@ -272,7 +273,7 @@ class TestTypeTable:
             objective=0.0,
             iterations=1,
         )
-        table = type_table(assign_types(profiles, result), profiles)
+        table = type_table(profiles, result)
         assert table.matrix[:, 0].tolist() == [2, 2, 0, 0, 0, 0, 1, 0]
         assert table.communities_per_type == (1,)
         assert table.type_names == ("business",)
@@ -298,7 +299,7 @@ class TestTypeTable:
             objective=0.0,
             iterations=1,
         )
-        table = type_table(assign_types(profiles, result), profiles)
+        table = type_table(profiles, result)
         assert table.communities_per_type == (15, 8, 6, 4)
         assert table.type_names == (
             "business",
@@ -322,17 +323,20 @@ class TestTypeTable:
             objective=0.0,
             iterations=1,
         )
-        assignment = assign_types(profiles, result)
-        table = type_table(assignment, profiles)
-        for pos, raw_id in enumerate(table.type_ids):
+        table = type_table(profiles, result)
+        for pos in range(3):
             want = np.zeros(8, dtype=np.int64)
             n = 0
             for p in profiles:
-                if assignment.types[p.community] == raw_id:
+                if table.types[p.community] == pos + 1:
                     want += p.counts
                     n += 1
             assert table.matrix[:, pos].tolist() == want.tolist()
             assert table.communities_per_type[pos] == n
+        # each type is one k-means cluster: communities share a type exactly
+        # when they share a label
+        for a, b in itertools.combinations(range(12), 2):
+            assert (table.types[a] == table.types[b]) == (labels[a] == labels[b])
 
     def test_conservation(self):
         rng = np.random.default_rng(269)
@@ -345,7 +349,7 @@ class TestTypeTable:
             objective=0.0,
             iterations=1,
         )
-        table = type_table(assign_types(profiles, result), profiles)
+        table = type_table(profiles, result)
         assert table.matrix.sum() == sum(p.counts.sum() for p in profiles)
 
     def test_missing_assignment_rejected(self):
@@ -356,6 +360,5 @@ class TestTypeTable:
             objective=0.0,
             iterations=1,
         )
-        assignment = assign_types(profiles[:1], result)
         with pytest.raises(DataError):
-            type_table(assignment, profiles)
+            type_table(profiles, result)
