@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,9 +86,11 @@ def eigenvector_centrality(g: Graph, *, tol: float = 1e-10, max_iter: int = 1000
 
     Power iteration runs on A + I, which has the same dominant eigenvector as
     the adjacency matrix A but keeps the iteration from oscillating on
-    bipartite structures.  The iterate is L2-normalized each step and deemed
-    converged when the max-norm change drops below ``tol``.  ``mixing`` < 1
-    blends in a uniform vector, trading exactness for extra robustness.
+    bipartite structures.  The iterate is L2-normalized each step, its norm
+    an exactly rounded ``math.fsum`` (no BLAS call, so the bits do not depend
+    on summation order or thread count), and deemed converged when the
+    max-norm change drops below ``tol``.  ``mixing`` < 1 blends in a uniform
+    vector, trading exactness for extra robustness.
     """
     if not 0.0 < mixing <= 1.0:
         raise DataError(f"mixing must be in (0, 1], got {mixing}")
@@ -112,7 +115,7 @@ def eigenvector_centrality(g: Graph, *, tol: float = 1e-10, max_iter: int = 1000
         nxt = vec + np.bincount(dst, weights=vec[src], minlength=n)
         if mixing < 1.0:
             nxt = mixing * nxt + (1.0 - mixing) * uniform
-        nxt /= np.linalg.norm(nxt)
+        nxt /= math.sqrt(math.fsum((nxt * nxt).tolist()))
         if np.abs(nxt - vec).max() < tol:
             return nxt
         vec = nxt

@@ -281,16 +281,3 @@ def write_edge_csv(g: Graph, path) -> None:
             rows = np.column_stack((sources[us[block]], targets[vs[block]]))
             fh.write("".join(rows.ravel().tolist()))
 
-
-def read_edge_pairs(path) -> list[tuple[str, str]]:
-    """Named pairs of a two-column CSV with a source,target header.
-
-    Names are normalized the same way article ingest normalizes them, so a
-    round trip through disk reproduces the graph exactly.
-    """
-    from .ingest import read_name_pairs
-
-    pairs = [(a, b) for _, a, b in read_name_pairs(path, ("source", "target"))]
-    if not pairs:
-        raise DataError(f"{path}: no edges")
-    return pairs

@@ -231,6 +231,18 @@ def read_name_pairs(path, header: tuple[str, str]) -> Iterator[tuple[int, str, s
             yield lineno, a, b
 
 
+def read_edge_pairs(path) -> list[tuple[str, str]]:
+    """Named pairs of a two-column CSV with a source,target header.
+
+    Names are normalized the same way article ingest normalizes them, so a
+    round trip through disk reproduces the graph exactly.
+    """
+    pairs = [(a, b) for _, a, b in read_name_pairs(path, ("source", "target"))]
+    if not pairs:
+        raise DataError(f"{path}: no edges")
+    return pairs
+
+
 def load_aliases(path) -> dict[str, str]:
     """Load an alias,canonical CSV into a one-step rename map.
 

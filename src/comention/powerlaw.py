@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,6 @@ class DegreeDistribution:
         counts = histogram[degrees]
         return cls(degrees=degrees, counts=counts, fractions=counts / g.node_count)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -74,8 +71,8 @@ def fit_loglog(dist: DegreeDistribution, dmin: int = DEFAULT_DMIN) -> PowerLawFi
     f = dist.fractions[keep]
     if d.size < 3:
         raise DataError(f"need at least 3 distinct degrees >= dmin={dmin}, got {d.size}")
-    x = np.log(d)
-    y = np.log(f)
+    x = np.array([math.log(v) for v in d.tolist()])
+    y = np.array([math.log(v) for v in f.tolist()])
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float((dx * dx).sum())
@@ -106,6 +103,7 @@ def fit_mle(samples, dmin: int = DEFAULT_DMIN) -> PowerLawFit:
         raise DataError(f"need at least 10 samples >= dmin={dmin}, got {tail.size}")
     if (tail == tail[0]).all():
         raise DataError("tail samples are all identical; exponent undefined")
-    log_terms = np.log(tail / (dmin - 0.5))
-    alpha_hat = 1.0 + tail.size / float(log_terms.sum())
+    degrees, counts = np.unique(tail, return_counts=True)
+    alpha_hat = 1.0 + tail.size / math.fsum(
+        c * math.log(d / (dmin - 0.5)) for d, c in zip(degrees.tolist(), counts.tolist()))
     return PowerLawFit(alpha=-alpha_hat, dmin=dmin, n_tail=int(tail.size), method="mle")

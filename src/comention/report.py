@@ -23,9 +23,8 @@ from . import community as community_mod
 from .centrality import FLOAT_FORMAT
 from .errors import DataError
 from .graph import (Graph, Partition, build_graph, clique_graph, connected_components,
-                    csr_graph, density, diameter as graph_diameter, read_edge_pairs,
-                    write_edge_csv)
-from .ingest import Articles, ingest_stats, load_aliases, load_articles
+                    csr_graph, density, diameter as graph_diameter, write_edge_csv)
+from .ingest import Articles, ingest_stats, load_aliases, load_articles, read_edge_pairs
 from .community import InducedGraph
 from .powerlaw import DegreeDistribution, PowerLawFit, fit_loglog
 from .typology import CATEGORIES, build_profiles, kmeans, load_affiliations, type_table
@@ -319,7 +318,7 @@ def emit_plot_data(dist: DegreeDistribution, fit: PowerLawFit | None, path) -> N
                               dist.fractions.tolist()):
         fitted = None
         if fit is not None and fit.intercept is not None and d >= fit.dmin:
-            fitted = float(np.exp(fit.intercept) * d ** fit.alpha)
+            fitted = math.exp(fit.intercept) * d ** fit.alpha
         rows.append([d, count, frac, fitted])
     write_csv(path, ["d", "count", "f_d", "fitted"], rows)
 

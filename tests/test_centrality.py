@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +219,25 @@ class TestEigenvector:
         g = build_graph([("A", "B"), ("B", "C")])
         e = eigenvector_centrality(g, mixing=0.999)
         assert e[g.names.index("B")] > e[g.names.index("A")]
+
+    def test_same_bits_under_any_blas_thread_count(self):
+        """On the full-size canonical corpus graph (10 500 persons; at 1/8
+        scale a threaded BLAS ``ddot`` stays on one thread) the scores have
+        the same bits under 1 and 2 BLAS threads: the norm is no BLAS call."""
+        script = ("import hashlib\n"
+                  "from comention import build_graph, eigenvector_centrality, synth\n"
+                  "g = build_graph(r.persons for r in synth.generate_corpus(5200, 10500, 7))\n"
+                  "print(hashlib.sha256(eigenvector_centrality(g).tobytes()).hexdigest())\n")
+        src = str(Path(centrality.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
 
 @st.composite

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comention import DataError, PipelineConfig, community, typology
-from comention import _sweep, centrality, graph, report, synth
+from comention import _sweep, centrality, graph, ingest, report, synth
 from comention.cli import build_parser, main
 
 ARTICLES = "\n".join(
@@ -1152,7 +1152,7 @@ class TestEdgesInput:
         edges = tmp_path / "edges.csv"
         edges.write_text(text, encoding="utf-8")
         with pytest.raises(DataError) as err:
-            graph.read_edge_pairs(edges)
+            ingest.read_edge_pairs(edges)
         rc = run_cli("stats", "--input", edges, "--input-format", "edges")
         assert rc == 2
         assert capsys.readouterr().err == f"error: {err.value}\n"

@@ -28,7 +28,8 @@ from comention import (
     write_edge_csv,
 )
 from comention._sweep import sweep
-from comention.graph import EDGE_BLOCK, read_edge_pairs
+from comention.graph import EDGE_BLOCK
+from comention.ingest import read_edge_pairs
 
 
 def star(k=5):

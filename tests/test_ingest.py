@@ -18,8 +18,8 @@ from comention import (
     normalize_name,
     parse_articles,
 )
-from comention.graph import csr_graph, density, read_edge_pairs
-from comention.ingest import read_name_pairs
+from comention.graph import csr_graph, density
+from comention.ingest import read_edge_pairs, read_name_pairs
 from comention.typology import load_affiliations
 
 

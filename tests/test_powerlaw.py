@@ -27,7 +27,7 @@ class TestDegreeDistribution:
         dist = DegreeDistribution.from_graph(g)
         assert dist.fractions.sum() == pytest.approx(1.0, abs=1e-12)
         assert (dist.fractions > 0).all()
-        assert dist.total == g.node_count
+        assert dist.counts.sum() == g.node_count
 
     def test_from_histogram_orders_degrees(self):
         dist = DegreeDistribution.from_histogram({5: 1, 1: 5})
