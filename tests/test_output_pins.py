@@ -1,5 +1,6 @@
-"""The bytes of ``comention run`` on the two canonical inputs at 1/8 scale,
-and of ``comention ingest --aliases`` on a small corpus.
+"""The bytes of ``comention run`` on the two canonical inputs at 1/8 scale and
+on the full-size canonical corpus, and of ``comention ingest --aliases`` on a
+small corpus.
 
 Every file a pinned run writes is pinned by the sha256 its own
 ``manifest.json`` lists.  No stage calls BLAS or numpy's SIMD ``log``/``exp``
@@ -22,7 +23,8 @@ from comention import synth
 from comention.cli import main
 from comention.typology import CATEGORIES
 
-# input -> the "files" map of the run's manifest.json (file -> sha256)
+# input -> the "files" map of the run's manifest.json (file -> sha256); a
+# "-full" input is the canonical one at full size, the rest are at 1/8
 PINS = {
     "corpus": {
         "centrality.csv": "1e28b404fe3e8059bcb79fe4cd802bb86f882f463aa821d5c98f678705431745",
@@ -44,6 +46,26 @@ PINS = {
         "top_members.csv": "598bfd96797b2f7c7f48c2c317c8bd1f7798ddaeca80f781c9796af531a4ff6b",
         "typology.csv": "8b368ca780a5554dce46cc09e52d66ad8dd45b3bf79e2705c1435a0728968822",
     },
+    "corpus-full": {
+        "centrality.csv": "cff8c5d940a13f467e04d42cb5e25f940773f3c541e001a2da128caaa09fbc06",
+        "communities.csv": "195458dbebd2e4968db40f9dcd7739eda7be09ebfea3a5aa8cef3dd879cffacb",
+        "community_types.csv": "e8bee79dd1ed819875c6b3ab562b2d855b018047755d610aeb9865334f9ddbb4",
+        "degree_dist.csv": "9a8b28f222091be07f15cf6f1bbfeaf27cabfaaa1b951fde6fe5e613786bc3fa",
+        "edges.csv": "041a247bd01389f20ed72b0bbab2e6a80fae12bdc6570fc412f3f6a7c84452e1",
+        "graph.graphml": "fb6ba77715f5d76a2649299973bdc0f5a9946e680e9d2f8903506023f260edcd",
+        "induced.dot": "a02dd1173d6ccbe946cdca374e286dec4e5806705d27bfddc7c8e39e35489884",
+        "induced.graphml": "6a2606ffdf17986b8d1a60d79462817f6ced0d2131f5768c35fd882b012bdfa8",
+        "induced.json": "de4d901f0d8564f62245882977281f1458439468b741469fd9111a7c92146c3c",
+        "ingest_stats.json": "f32fa156c08396d1506a09d278c74668b786df4e71aad4d89dc383bc8760e527",
+        "partition.csv": "2bb757e55deb25b77a3baf0b10519ec2252cd37b9d32f4893a9213812dfa7717",
+        "powerlaw.json": "d8c4d1960ec0e1af29c17bcab4bad6978acde321c4f7d4c9030889eaa8aff023",
+        "powerlaw_fit.csv": "c44224f6ea6af479b451f130f90b45a3c72b9a71a722c30f98b5f2eceb8e82fc",
+        "profiles.csv": "9d405fdc41941470915f8b04e0e9b3f631bbe0f86e57aa19c154db23f5f60d2c",
+        "summary.json": "af79b565452310d7afbfcde382c4a8d8bd090df600ab4e920e9583a15f7120e9",
+        "top10.csv": "db0088b6e516bb087cc36ca8a6dee191614b8cb20b85589f6ed38db5734d1792",
+        "top_members.csv": "3aa14e5dc2ad365ceb8d80915410eee630b563ce4b2876286bd0f1c488c44adf",
+        "typology.csv": "143f1351c71dc09d71ad6a8aed635cebdb7fcc8a3642f362f87da035640c5188",
+    },
     "bench-graph": {
         "centrality.csv": "aa8c75ed8b9ffd966e1e27b63f071940e8da55fc054a7f964493d7724738585d",
         "communities.csv": "74ac96f2924e8496d20ba28be964ae54e2fde8fc52e66cf8e810f0f4989845ef",
@@ -63,11 +85,12 @@ PINS = {
 }
 
 
-def write_inputs(name, directory):
-    """The 1/8 canonical input and its ``run`` arguments.  The corpus gets an
-    affiliation table, one of the categories per person drawn from the seed."""
+def write_inputs(name, directory, scale=8):
+    """The canonical input at 1/``scale`` size and its ``run`` arguments.  The
+    corpus gets an affiliation table, one of the categories per person drawn
+    from the seed."""
     if name == "corpus":
-        records = synth.generate_corpus(650, 1312, 7)
+        records = synth.generate_corpus(round(5200 / scale), round(10500 / scale), 7)
         path = directory / "articles.jsonl"
         synth.write_articles_jsonl(records, path)
         names = sorted({p for r in records for p in r.persons})
@@ -78,14 +101,17 @@ def write_inputs(name, directory):
             encoding="utf-8")
         return ["--input", path, "--affiliations", affiliations, "--seed", "7"]
     path = directory / "edges.csv"
-    path.write_text("source,target\n" + "".join(
-        f"{a},{b}\n" for a, b in synth.benchmark_graph(1390, 4693, 11)), encoding="utf-8")
+    pairs = synth.benchmark_graph(round(11118 / scale), round(37544 / scale), 11)
+    path.write_text("source,target\n" + "".join(f"{a},{b}\n" for a, b in pairs),
+                    encoding="utf-8")
     return ["--input", path, "--input-format", "edges", "--seed", "11"]
 
 
 def run_outputs(name, directory, threads):
+    """``run`` on a pinned input; a "-full" name is its canonical input at full size."""
     out = directory / "out"
-    argv = write_inputs(name, directory) + [
+    base = name.removesuffix("-full")
+    argv = write_inputs(base, directory, scale=8 if base == name else 1) + [
         "--threads", str(threads), "--min-community-size", "25", "--out-dir", out]
     assert main(["run", *map(str, argv)]) == 0
     return out
