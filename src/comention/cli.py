@@ -140,15 +140,10 @@ HELP = {
     "min_community_size": "drop communities smaller than this",
     "dmin": "smallest tail degree of the power-law fit",
     "kmeans_k": "number of community types",
-    "top_k_persons": "names per top10.csv leaderboard",
     "top_k_members": "members listed per community in top_members.csv",
     "include_other": "absorb non-retained communities into one pseudo-node",
-    "restarts": "k-means restarts",
     "threads": "worker processes of the Brandes betweenness sweep (default: usable CPUs); "
                "distance sweeps run bit-parallel in one process; outputs never depend on it",
-    "eigen_tol": "eigenvector convergence tolerance",
-    "eigen_max_iter": "eigenvector iteration cap",
-    "eigen_mixing": "uniform-vector mixing in (0,1]; below 1 damps the iteration",
     "out_dir": "directory for emitted files; without it stats and fit-powerlaw print to stdout",
 }
 FLAGS = {"kmeans_k": "--k"}
@@ -156,7 +151,7 @@ FLAGS = {"kmeans_k": "--k"}
 # Each subcommand's help, its handler (or the report writer it runs) and the
 # fields it takes; a trailing "!" marks a required one.
 SOURCE = "input! input_format aliases"
-STAGE = f"{SOURCE} out_dir! threads eigen_tol eigen_max_iter eigen_mixing"
+STAGE = f"{SOURCE} out_dir! threads"
 DETECT = f"{STAGE} seed! resolution min_community_size"
 COMMANDS = {
     "ingest": ("parse articles and emit the edge list + corpus stats",
@@ -164,7 +159,7 @@ COMMANDS = {
     "stats": ("graph-level numbers (nodes, edges, density, diameter)",
               cmd_stats, f"{SOURCE} out_dir"),
     "centrality": ("per-node centralities and the top-10 leaderboards",
-                   "write_centrality_files", f"{STAGE} top_k_persons"),
+                   "write_centrality_files", STAGE),
     "communities": ("Louvain partition, community table, top members",
                     cmd_communities, f"{DETECT} top_k_members"),
     "induced": ("community-level induced network (GraphML/DOT/JSON)",
@@ -172,7 +167,7 @@ COMMANDS = {
     "fit-powerlaw": ("degree distribution and power-law tail fit",
                      cmd_fit_powerlaw, f"{SOURCE} dmin out_dir"),
     "typology": ("affiliation profiles and k-means community types", "write_typology_files",
-                 f"{DETECT} affiliations! kmeans_k top_k_members restarts"),
+                 f"{DETECT} affiliations! kmeans_k top_k_members"),
     "run": ("full pipeline: ingest through typology and manifest", None,
             " ".join(f.name for f in dataclasses.fields(report.PipelineConfig))),
     "audit": ("check a run by reading it back and re-rendering its tables", cmd_audit, ""),

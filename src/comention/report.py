@@ -85,15 +85,10 @@ class PipelineConfig:
     min_community_size: int = 100
     dmin: int = 3
     kmeans_k: int = 4
-    top_k_persons: int = 10
     top_k_members: int = 5
     threads: int | None = None
     resolution: float = 1.0
     include_other: bool = False
-    restarts: int = 1
-    eigen_tol: float = 1e-10
-    eigen_max_iter: int = 10000
-    eigen_mixing: float = 1.0
 
     def validate(self) -> "PipelineConfig":
         # types first, from the annotations: a float field takes an int, no
@@ -108,8 +103,7 @@ class PipelineConfig:
         if self.input_format not in INPUT_FORMATS:
             raise DataError(f"input_format must be one of {INPUT_FORMATS}, "
                             f"got {self.input_format!r}")
-        for field in ("min_community_size", "dmin", "kmeans_k", "top_k_persons",
-                      "top_k_members", "restarts", "eigen_max_iter"):
+        for field in ("min_community_size", "dmin", "kmeans_k", "top_k_members"):
             value = getattr(self, field)
             if value < 1:
                 raise DataError(f"{field} must be a positive integer, got {value!r}")
@@ -117,12 +111,8 @@ class PipelineConfig:
             raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.threads is not None and self.threads < 1:
             raise DataError(f"threads must be a positive integer, got {self.threads!r}")
-        for field in ("resolution", "eigen_tol"):
-            value = getattr(self, field)
-            if not (math.isfinite(value) and value > 0):
-                raise DataError(f"{field} must be finite and positive, got {value!r}")
-        if not 0.0 < self.eigen_mixing <= 1.0:
-            raise DataError(f"eigen_mixing must be in (0, 1], got {self.eigen_mixing!r}")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise DataError(f"resolution must be finite and positive, got {self.resolution!r}")
         return self
 
     @classmethod
@@ -371,10 +361,8 @@ class PipelineRun:
 
     @cached_property
     def bundle(self):
-        c = self.config
-        return centrality_mod.compute_bundle(
-            self.graph, eigen_tol=c.eigen_tol, eigen_max_iter=c.eigen_max_iter,
-            eigen_mixing=c.eigen_mixing, threads=c.threads, components=self.components)
+        return centrality_mod.compute_bundle(self.graph, threads=self.config.threads,
+                                             components=self.components)
 
     @cached_property
     def partition(self) -> Partition:
@@ -427,7 +415,7 @@ class PipelineRun:
         profiles = build_profiles(self.members, load_affiliations(self.config.affiliations))
         try:
             result = kmeans(np.vstack([p.counts for p in profiles]), self.config.kmeans_k,
-                            self.config.seed, restarts=self.config.restarts)
+                            self.config.seed)
         except DataError as exc:
             return self._skip("typology", exc)
         return profiles, type_table(profiles, result)
@@ -531,12 +519,11 @@ def write_centrality_files(run: PipelineRun) -> None:
                 float(bundle.betweenness[v]), float(bundle.eigenvector[v]),
                 float(bundle.clustering[v])]
                for v in centrality_mod.rank(g, bundle.written("betweenness"))))
-    table = centrality_mod.top_table(g, bundle, k=run.config.top_k_persons)
+    table = centrality_mod.top_table(g, bundle)
     # every column ranks all nodes, so all have one length
-    write_csv(run.out / "top10.csv", ["rank", *table.measures],
+    write_csv(run.out / "top10.csv", ["rank", *table.columns],
               ([i, *(name + MARK if table.marked(name) else name for name in names)]
-               for i, names in enumerate(zip(*(table.columns[m] for m in table.measures)),
-                                         start=1)))
+               for i, names in enumerate(zip(*table.columns.values()), start=1)))
 
 
 def write_graph_files(run: PipelineRun) -> None:

@@ -150,14 +150,13 @@ def _kmeans_once(points: np.ndarray, k: int, seed: int, max_iter: int) -> KMeans
                         objective=objective, iterations=iteration)
 
 
-def kmeans(points, k: int, seed: int, max_iter: int = 300, restarts: int = 1) -> KMeansResult:
+def kmeans(points, k: int, seed: int, max_iter: int = 300) -> KMeansResult:
     """Euclidean k-means with k-means++ seeding and Lloyd refinement.
 
     Assignment ties go to the lowest centroid index; an empty cluster is
     re-seeded with the point currently farthest from its own centroid.  Stops
-    once assignments repeat or ``max_iter`` passes.  ``restarts`` > 1 reruns
-    with seeds seed, seed+1, ... and keeps the lowest objective (earliest on
-    ties).  Deterministic for fixed arguments.
+    once assignments repeat or ``max_iter`` passes.  Deterministic for fixed
+    arguments.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -168,14 +167,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300, restarts: int = 1) ->
         raise DataError(f"need at least k={k} points, got {points.shape[0]}")
     if max_iter < 1:
         raise DataError(f"max_iter must be >= 1, got {max_iter}")
-    if restarts < 1:
-        raise DataError(f"restarts must be >= 1, got {restarts}")
-    best: KMeansResult | None = None
-    for attempt in range(restarts):
-        result = _kmeans_once(points, k, seed + attempt, max_iter)
-        if best is None or result.objective < best.objective:
-            best = result
-    return best
+    return _kmeans_once(points, k, seed, max_iter)
 
 
 @dataclass(frozen=True, eq=False)

@@ -253,10 +253,11 @@ class TestCentrality:
         # bridge endpoints dominate every measure here
         assert "†" in top
 
-    def test_eigen_non_convergence_exit_code(self, tmp_path, edges_csv):
+    def test_eigen_non_convergence_exit_code(self, tmp_path, edges_csv, monkeypatch):
+        monkeypatch.setattr(centrality, "EIGEN_MAX_ITER", 1)
         rc = run_cli(
             "centrality", "--input", edges_csv, "--input-format", "edges",
-            "--out-dir", tmp_path / "out", "--eigen-max-iter", "1",
+            "--out-dir", tmp_path / "out",
         )
         assert rc == 3
 
@@ -414,6 +415,22 @@ class TestRun:
             run_cli("run", "--config", cfg)
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("eigen_tol", 1e-10), ("eigen_max_iter", 10000), ("eigen_mixing", 1.0),
+        ("restarts", 1), ("top_k_persons", 10),
+    ])
+    def test_retired_config_key_is_usage_error(self, tmp_path, articles, capsys, key, value):
+        """The fixed eigenvector, k-means and leaderboard settings are no config keys."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"input": str(articles), "seed": 5,
+                                   "out_dir": str(tmp_path / "out"), key: value}),
+                       encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            run_cli("run", "--config", cfg)
+        assert err.value.code == 1
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_seed_is_usage_error(self, tmp_path, articles):
         with pytest.raises(SystemExit) as err:
             run_cli(
@@ -519,6 +536,18 @@ class TestAuditCommand:
         names = {line.split()[1].rstrip(":") for line in failed}
         assert {f"file:{name}" for name in MANIFEST_FILES} <= names
         assert {"community_means", "induced_conservation"} <= names
+
+    def test_manifest_config_with_retired_key_fails_config(self, tmp_path, clean_run, capsys):
+        """A run written while ``restarts`` was a config key is audited by that version."""
+        def damage(out):
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            manifest["config"]["restarts"] = 1
+            (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+        rc, failed, _ = audit_copy(clean_run, tmp_path, damage, capsys)
+        assert rc == 2
+        assert failed == ["FAIL config: cannot be computed: DataError: "
+                          "unknown config keys: restarts"]
 
     @pytest.mark.parametrize("filename,key,value", [
         pytest.param("manifest.json", None, [], id="manifest=[]"),
@@ -748,28 +777,22 @@ class TestOptionValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,option,value", [
-        pytest.param("communities", "resolution", "-1", id="resolution=-1"),
-        pytest.param("communities", "resolution", "inf", id="resolution=inf"),
-        pytest.param("centrality", "eigen-tol", "-1", id="eigen-tol=-1"),
-        pytest.param("centrality", "eigen-tol", "0", id="eigen-tol=0"),
-        pytest.param("centrality", "eigen-tol", "nan", id="eigen-tol=nan"),
-        pytest.param("centrality", "eigen-tol", "inf", id="eigen-tol=inf"),
+    @pytest.mark.parametrize("value", [
+        pytest.param("-1", id="resolution=-1"),
+        pytest.param("inf", id="resolution=inf"),
     ])
-    def test_out_of_range_float_option_is_data_error(self, tmp_path, articles, capsys,
-                                                     command, option, value):
+    def test_out_of_range_float_option_is_data_error(self, tmp_path, articles, capsys, value):
         out = tmp_path / "out"
-        seed = ["--seed", "5"] if command == "communities" else []
-        rc = run_cli(command, "--input", articles, "--out-dir", out, *seed,
-                     f"--{option}", value)
+        rc = run_cli("communities", "--input", articles, "--out-dir", out, "--seed", "5",
+                     "--resolution", value)
         assert rc == 2
-        assert option.replace("-", "_") in capsys.readouterr().err
+        assert "resolution" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [
-        ("resolution", "1"), ("eigen_tol", "1e-10"), ("eigen_mixing", "1"),
-        ("input", 5), ("out_dir", 5), ("aliases", 5), ("affiliations", ["a.csv"]),
-        ("include_other", "no"), ("min_community_size", True), ("threads", True),
+        ("resolution", "1"), ("input", 5), ("out_dir", 5), ("aliases", 5),
+        ("include_other", "no"), ("min_community_size", True), ("affiliations", ["a.csv"]),
+        ("threads", True),
     ])
     def test_wrong_type_in_config_is_data_error(self, tmp_path, articles, capsys,
                                                  field, value):
@@ -820,20 +843,19 @@ class TestParser:
     # "!" marks a required option and "+" a switch; each dest is the flag's
     # name with underscores, except that --k sets kmeans_k
     SOURCE = "--input! --input-format --aliases"
-    STAGE = f"{SOURCE} --out-dir! --threads --eigen-tol --eigen-max-iter --eigen-mixing"
+    STAGE = f"{SOURCE} --out-dir! --threads"
     DETECT = f"{STAGE} --seed! --resolution --min-community-size"
     OPTIONS = {
         "ingest": "--input! --aliases --out-dir!",
         "stats": f"{SOURCE} --out-dir",
-        "centrality": f"{STAGE} --top-k-persons",
+        "centrality": STAGE,
         "communities": f"{DETECT} --top-k-members",
         "induced": f"{DETECT} --include-other+",
         "fit-powerlaw": f"{SOURCE} --dmin --method --out-dir",
-        "typology": f"{DETECT} --affiliations! --k --top-k-members --restarts",
+        "typology": f"{DETECT} --affiliations! --k --top-k-members",
         "run": "--config --input --input-format --aliases --affiliations --seed --resolution "
-               "--min-community-size --dmin --k --top-k-persons --top-k-members "
-               "--include-other+ --restarts --out-dir --threads --eigen-tol "
-               "--eigen-max-iter --eigen-mixing",
+               "--min-community-size --dmin --k --top-k-members --include-other+ --out-dir "
+               "--threads",
         "audit": "--out-dir!",
     }
 

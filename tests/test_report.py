@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import xml.etree.ElementTree as ET
@@ -30,6 +31,7 @@ from comention import (
     run_pipeline,
     top_k,
     top_members,
+    top_table,
 )
 from comention.report import (
     RUN_FILES,
@@ -93,7 +95,7 @@ class TestPipelineConfig:
         assert cfg.min_community_size == 100
         assert cfg.dmin == 3
         assert cfg.kmeans_k == 4
-        assert cfg.top_k_persons == 10
+        assert inspect.signature(top_table).parameters["k"].default == 10
         assert cfg.top_k_members == 5
 
     def test_positive_threshold_validation(self):
@@ -101,7 +103,6 @@ class TestPipelineConfig:
             "min_community_size",
             "dmin",
             "kmeans_k",
-            "top_k_persons",
             "top_k_members",
         ):
             with pytest.raises(DataError):

@@ -221,13 +221,6 @@ class TestKMeans:
         )
         assert part1 == part2
 
-    def test_restarts_attain_exhaustive_optimum(self):
-        rng = np.random.default_rng(257)
-        points = rng.random((12, 8)) * 3.0
-        _, want_cost = best_two_partition(points)
-        result = kmeans(points, k=2, seed=0, restarts=50)
-        assert result.objective == pytest.approx(want_cost, rel=1e-9)
-
     def test_fewer_points_than_k_rejected(self):
         with pytest.raises(DataError):
             kmeans(np.zeros((3, 8)), k=4, seed=0)
